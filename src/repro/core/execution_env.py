@@ -238,9 +238,10 @@ class PuntTimeout:
     """Marker verdict slot: the punt exceeded its slow-path deadline.
 
     Returned (not raised) by :meth:`ExecutionEnvironment.dispatch_batch`
-    so one timed-out punt does not poison its batch. Instances survive the
-    IPC pickle round trip, so callers must test with ``isinstance``, never
-    identity.
+    so one timed-out punt does not poison its batch. It crosses the IPC
+    boundary as a one-byte result tag (see :mod:`repro.core.ipc`) and is
+    rebuilt on the terminus side, so callers must test with
+    ``isinstance``, never identity.
     """
 
 

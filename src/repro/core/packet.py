@@ -15,6 +15,7 @@ hashability and cheap equality.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import itertools
 from dataclasses import dataclass, field, replace
@@ -36,8 +37,14 @@ class PacketError(Exception):
     """Raised for malformed packets or invalid header fields."""
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize_address(address: str) -> str:
-    """Validate and canonicalize an IPv4 address string."""
+    """Validate and canonicalize an IPv4 address string.
+
+    Memoised (bounded): every ``L3Header`` normalises two addresses, and a
+    federation speaks through a small set of them. A raise is never cached,
+    so invalid input is rejected on every call.
+    """
     try:
         return str(ipaddress.IPv4Address(address))
     except (ipaddress.AddressValueError, ValueError) as exc:

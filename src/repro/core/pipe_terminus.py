@@ -216,18 +216,25 @@ class MissQueue:
     def park(
         self, flow: tuple[str, bytes], packets: list[ILPPacket]
     ) -> list[ILPPacket]:
-        """Park up to the per-flow bound; return the spill (may be empty)."""
+        """Park up to the per-flow bound; return the spill (may be empty).
+
+        A flow gets an entry only once a packet actually parks: a lead
+        without followers (``packets`` empty) has nothing for ``drain`` to
+        pop later, so it must leave nothing behind.
+        """
+        if not packets:
+            return packets
         self.stats.offered += len(packets)
         queue = self._flows.get(flow)
-        if queue is None:
-            queue = []
-            self._flows[flow] = queue
-        room = self.limit - len(queue)
+        room = self.limit - (len(queue) if queue is not None else 0)
         if room <= 0:
             self.stats.spilled += len(packets)
             return packets
         take, spill = packets[:room], packets[room:]
-        queue.extend(take)
+        if queue is None:
+            self._flows[flow] = take
+        else:
+            queue.extend(take)
         self._live += len(take)
         self.stats.parked += len(take)
         self.stats.spilled += len(spill)
@@ -277,9 +284,10 @@ class MissQueue:
 
         Called at the end of every batch ingress under ``REPRO_SANITIZE=1``:
         every parked packet must have been drained or accounted as dropped
-        (``live == 0`` between bursts), and the ledger must balance.
+        (``live == 0`` and no flow entry between bursts), and the ledger
+        must balance.
         """
-        if self._live != 0:
+        if self._live != 0 or self._flows:
             _san.fail(
                 "miss-queue-leak",
                 f"{self._live} packet(s) still parked across "

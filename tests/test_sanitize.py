@@ -161,6 +161,29 @@ class TestMissQueueLedger:
         with pytest.raises(sanitize.SanitizeError, match="miss-queue-leak"):
             queue.check_drained()
 
+    def test_follower_less_lead_leaves_no_entry(self, armed):
+        """Regression: ``park(flow, [])`` (a cold lead with no followers)
+        used to insert an empty per-flow list nobody drained, one per
+        single-packet cold run, without bound."""
+        from repro.core.pipe_terminus import MissQueue
+
+        for limit in (4, 0):
+            queue = MissQueue(limit=limit)
+            for i in range(100):
+                assert queue.park(("p", b"f%d" % i), []) == []
+            # The bound hit before anything parked leaves no entry either.
+            assert queue.park(("p", b"g"), ["s"] * (limit + 1)) == ["s"]
+            assert len(queue.drain(("p", b"g"), fast=True)) == limit
+            assert queue.stats.offered == limit + 1
+            assert not queue._flows  # repro: allow(DET002)
+            queue.check_drained()
+
+    def test_empty_flow_entry_detected(self, armed):
+        queue = self._queue()
+        queue._flows[("p", b"f")] = []  # repro: allow(DET002)
+        with pytest.raises(sanitize.SanitizeError, match="miss-queue-leak"):
+            queue.check_drained()
+
     def test_ledger_violation_detected(self, armed):
         queue = self._queue()
         queue.park(("p", b"f"), ["a"])
