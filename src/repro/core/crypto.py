@@ -164,77 +164,28 @@ class SealingKey:
         out += self._tag(nonce, aad, ciphertext)
         return out
 
-    def seal_frames(
-        self,
-        prefix: bytes,
-        nonces: list[bytes],
-        plaintext: bytes,
-        aad: bytes = b"",
-    ) -> list[bytes]:
-        """Seal the *same* plaintext under many nonces, fully framed.
-
-        Returns one ``prefix || nonce || ciphertext || tag`` blob per nonce —
-        the whole PSP frame in a single concatenation. This is the flow-run
-        egress primitive: a terminus forwarding a run of identical headers
-        seals once per packet but hoists every per-call lookup (hash-state
-        bases, plaintext big-int conversion, block-count branch) out of the
-        loop. Each frame is byte-identical to framing :meth:`seal` output
-        by hand with the same nonce.
-        """
-        n = len(plaintext)
-        if nonces and len(nonces[0]) != NONCE_SIZE:
-            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ks_base = self._ks_base
-        mac_inner = self._mac_inner
-        mac_outer = self._mac_outer
-        ctr0 = _CTR[0]
-        pt_int = int.from_bytes(plaintext, "big")
-        single_block = n <= _BLOCK
-        keystream = self.keystream
-        frames: list[bytes] = []
-        append = frames.append
-        for nonce in nonces:
-            if single_block:
-                h = ks_base.copy()
-                h.update(nonce)
-                h.update(ctr0)
-                stream = h.digest()
-                if n:
-                    ciphertext = (
-                        pt_int ^ int.from_bytes(stream[:n], "big")
-                    ).to_bytes(n, "big")
-                else:
-                    ciphertext = b""
-            else:
-                ciphertext = (
-                    pt_int ^ int.from_bytes(keystream(nonce, n), "big")
-                ).to_bytes(n, "big")
-            inner = mac_inner.copy()
-            inner.update(nonce)
-            if aad:
-                inner.update(aad)
-            inner.update(ciphertext)
-            outer = mac_outer.copy()
-            outer.update(inner.digest())
-            append(prefix + nonce + ciphertext + outer.digest()[:TAG_SIZE])
-        return frames
-
     def seal_scatter(
         self,
         prefix: bytes,
-        runs: list[tuple[list[bytes], bytes]],
+        nonces: list[bytes],
+        items: list[tuple[bytes, int]],
         aad: bytes = b"",
     ) -> list[bytes]:
-        """Seal many ``(nonces, plaintext)`` runs into framed blobs, flat.
+        """Seal ``(plaintext, count)`` runs against one flat nonce block.
 
         The scatter-gather egress primitive: a terminus coalescing several
         flow groups toward one next hop seals each group's header wire form
-        under that group's nonce span, with the hash-state bases and framing
-        loaded once for the whole scatter. Output order is run-major —
-        ``runs[0]``'s frames, then ``runs[1]``'s — and each frame is
-        byte-identical to :meth:`seal_frames` on the same (nonces,
-        plaintext) pair.
+        under that group's span of ``nonces`` (``count`` consecutive ones,
+        in item order), with the hash-state bases and framing loaded once
+        for the whole scatter and everything that does not depend on the
+        nonce (plaintext big-int conversion, block-count branch) hoisted
+        out of each run's loop. Returns one ``prefix || nonce ||
+        ciphertext || tag`` blob per nonce, in nonce order, each
+        byte-identical to framing :meth:`seal` output by hand with the
+        same nonce.
         """
+        if nonces and len(nonces[0]) != NONCE_SIZE:
+            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
         ks_base = self._ks_base
         mac_inner = self._mac_inner
         mac_outer = self._mac_outer
@@ -243,13 +194,12 @@ class SealingKey:
         tag_size = TAG_SIZE
         frames: list[bytes] = []
         append = frames.append
-        for nonces, plaintext in runs:
+        start = 0
+        for plaintext, count in items:
             n = len(plaintext)
-            if nonces and len(nonces[0]) != NONCE_SIZE:
-                raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
             pt_int = int.from_bytes(plaintext, "big")
             single_block = n <= _BLOCK
-            for nonce in nonces:
+            for nonce in nonces[start : start + count]:
                 if single_block:
                     h = ks_base.copy()
                     h.update(nonce)
@@ -273,6 +223,7 @@ class SealingKey:
                 outer = mac_outer.copy()
                 outer.update(inner.digest())
                 append(prefix + nonce + ciphertext + outer.digest()[:tag_size])
+            start += count
         return frames
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:

@@ -232,75 +232,36 @@ class DecisionCache:
     def lookup_run(
         self, key: CacheKey, count: int, now: float = 0.0
     ) -> Optional[Decision]:
-        """Query once for a run of ``count`` packets sharing ``key``.
-
-        On a hit, bookkeeping is identical to ``count`` scalar
-        :meth:`lookup` calls — ``count`` stat lookups/hits, ``count`` entry
-        hits, one ``last_hit_at`` stamp, one LRU touch (moving the same key
-        ``count`` times equals moving it once) — but the table is probed a
-        single time.
-
-        On a miss, *nothing* is counted and ``None`` is returned: the first
-        packet of a cold run may install the decision the rest of the run
-        then hits, so the caller must replay the run per-packet through
-        scalar lookups (which count themselves). That keeps run-batched
-        stats byte-for-byte equal to the per-packet path.
-        """
-        entry = self._entries.get(key)
-        if entry is None:
-            return None
-        stats = self.stats
-        stats.lookups += count
-        stats.hits += count
-        entry.hits += count
-        entry.last_hit_at = now
-        if self.policy is EvictionPolicy.LRU:
-            self._entries.move_to_end(key)
-        return entry.decision
+        """Query once for ``count`` packets sharing ``key``: one
+        :meth:`lookup_many` entry."""
+        return self.lookup_many([key], [count], now)[0]
 
     def lookup_many(
-        self,
-        keys: list[CacheKey],
-        counts: Optional[list[int]] = None,
-        now: float = 0.0,
+        self, keys: list[CacheKey], counts: list[int], now: float = 0.0
     ) -> list[Optional[Decision]]:
         """Query many keys in one pass; ``out[i]`` is ``keys[i]``'s decision.
 
-        With ``counts`` (the sharding stage's shape: one entry per flow
-        group, ``counts[i]`` packets behind ``keys[i]``), each hit is
-        charged with :meth:`lookup_run` bookkeeping — ``counts[i]``
-        lookups/hits, one ``last_hit_at`` stamp, one LRU touch — and each
-        miss charges *nothing* (the caller replays the group per-packet
-        through scalar lookups, which count themselves).
+        The decide stage's shape: one entry per flow group, ``counts[i]``
+        packets behind ``keys[i]``. On a hit, bookkeeping is identical to
+        ``counts[i]`` scalar :meth:`lookup` calls — that many stat
+        lookups/hits and entry hits, one ``last_hit_at`` stamp, one LRU
+        touch (moving the same key ``count`` times equals moving it once)
+        — but the table is probed a single time.
 
-        Without ``counts``, every key is charged exactly like a scalar
-        :meth:`lookup` call, misses included.
+        On a miss, *nothing* is counted and ``None`` is returned: the
+        group's lead packet may install the decision the rest of the group
+        then hits, so the caller charges the lead's scalar :meth:`lookup`
+        and probes again for the followers. That keeps a burst's stats
+        byte-for-byte equal to feeding its packets one at a time.
 
         Duplicate keys are fine: later occurrences see the same entry and
         stack their bookkeeping, exactly as repeated scalar calls would.
-        The table itself is probed once per key either way.
         """
         entries_get = self._entries.get
-        stats = self.stats
         lru = self.policy is EvictionPolicy.LRU
         move_to_end = self._entries.move_to_end
         out: list[Optional[Decision]] = []
         append = out.append
-        if counts is None:
-            stats.lookups += len(keys)
-            for key in keys:
-                entry = entries_get(key)
-                if entry is None:
-                    stats.misses += 1
-                    append(None)
-                    continue
-                entry.hits += 1
-                entry.last_hit_at = now
-                if lru:
-                    move_to_end(key)
-                stats.hits += 1
-                append(entry.decision)
-            return out
         hits = 0
         for key, count in zip(keys, counts):
             entry = entries_get(key)
@@ -313,6 +274,7 @@ class DecisionCache:
             if lru:
                 move_to_end(key)
             append(entry.decision)
+        stats = self.stats
         stats.lookups += hits
         stats.hits += hits
         return out
@@ -358,32 +320,18 @@ class DecisionCache:
         return count
 
     def install(self, key: CacheKey, decision: Decision, now: float = 0.0) -> None:
-        """Install or replace an entry, evicting if at capacity."""
-        self._stale_put(key, decision)
-        if key in self._entries:
-            self._entries[key].decision = decision
-            if self.policy is EvictionPolicy.LRU:
-                self._entries.move_to_end(key)
-            return
-        while len(self._entries) >= self.capacity:
-            self._evict_one()
-        self._entries[key] = _Entry(decision=decision, installed_at=now)
-        self._index_add(key)
-        self.stats.installs += 1
-        if _san.ENABLED:
-            self.check_index_coherence()
+        """Install or replace one entry: an :meth:`install_many` of one."""
+        self.install_many([(key, decision)], now)
 
     def install_many(
         self, pairs: list[tuple[CacheKey, Decision]], now: float = 0.0
     ) -> None:
-        """Install or replace many entries in one pass.
+        """Install or replace entries in order, evicting at capacity.
 
-        Bookkeeping is identical to calling :meth:`install` per pair in
-        order — replacement semantics, LRU touches, capacity eviction, and
-        ``stats.installs`` all match — but the armed coherence scan runs
-        once for the whole batch instead of once per mutation (the batch is
-        a single logical mutation: a verdict's install set, or a batched
-        invocation's combined installs).
+        Pairs are applied one after another — replacement, LRU touch,
+        capacity eviction and ``stats.installs`` per pair — and the armed
+        coherence scan runs once for the whole batch (it is a single
+        logical mutation: a verdict's install set).
         """
         entries = self._entries
         lru = self.policy is EvictionPolicy.LRU

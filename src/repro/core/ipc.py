@@ -492,11 +492,9 @@ class CostModel:
     the null-service path lands at 1/120,018 s ≈ 8.3 µs per packet and
     33 µs latency; enclaves add ~8-9%.
 
-    ``bill_failed_invocations`` makes the failed-punt policy explicit: a
-    punt whose handler raises ``ServiceError`` still crossed the process
-    boundary and burned service CPU, so by default it bills the same
-    latency as a successful one. Set it to ``False`` to model a fail-fast
-    boundary that rejects before doing the work.
+    A punt whose handler raises ``ServiceError`` still crossed the process
+    boundary and burned service CPU, so it bills the same latency as a
+    successful one.
     """
 
     terminus_packet: float = 2.65e-6  # fast-path CPU per packet
@@ -505,7 +503,6 @@ class CostModel:
     shm_round_trip: float = 1.0e-6  # shared-memory ring round trip
     enclave_io: float = 1.0e-6  # enclave world-switch per crossing
     service_packet: float = 5.6e-6  # service CPU per punted packet
-    bill_failed_invocations: bool = True  # failed punts still bill latency
     #: Default slow-path deadline per punt (seconds); a per-service
     #: :class:`~repro.core.overload.ServicePolicy` may override it. A punt
     #: that times out bills the full deadline as latency — the wait is the
@@ -514,14 +511,8 @@ class CostModel:
     punt_deadline: Optional[float] = 2.5e-3
 
     def invocation_latency(self, mode: InvocationMode, enclave: bool) -> float:
-        base = (
-            self.ipc_round_trip
-            if mode is InvocationMode.IPC
-            else self.shm_round_trip
-        )
-        if enclave:
-            base += 2 * self.enclave_io  # enter + exit
-        return base
+        """Latency of invoking one punt: a batch of one."""
+        return self.batch_invocation_latency(mode, int(enclave))
 
     def batch_invocation_latency(
         self, mode: InvocationMode, enclave_services: int
@@ -533,8 +524,6 @@ class CostModel:
         pair (the execution environment dispatches per-service groups, so
         an enclave is entered once per group, not once per punt). Per-punt
         service CPU (``service_packet``) is charged by the caller on top.
-        With one non-enclaved punt this equals
-        :meth:`invocation_latency` exactly.
         """
         base = (
             self.ipc_round_trip
@@ -574,17 +563,15 @@ class IPCStats:
 class InvocationChannel:
     """Carries punted packets from the pipe-terminus to a service module.
 
-    ``invoke`` takes a handler plus the punt — an :class:`ILPHeader` and the
-    :class:`ILPPacket` it arrived in; in IPC mode the punt crosses in a
-    request frame, the handler runs on the copies decoded from it, and its
-    ``None | PuntTimeout | Verdict`` result crosses back in a response
-    frame (layouts in the module docstring), mirroring the prototype's
-    process boundary. Anything else is rejected with :class:`IPCError`.
-
-    ``invoke_batch`` carries many punts across the boundary at once: one
-    frame per direction for the whole batch (IPC mode), or one ring write
-    per punt header (shared-memory mode). The per-frame overhead that
-    dominates a cold-flow storm is paid once per batch instead.
+    A punt is an :class:`ILPHeader` and the :class:`ILPPacket` it arrived
+    in. ``invoke_batch`` carries many punts across the boundary at once:
+    in IPC mode they cross in one request frame, the handler runs on the
+    copies decoded from it, and its ``None | PuntTimeout | Verdict``
+    results cross back in one response frame (layouts in the module
+    docstring), mirroring the prototype's process boundary — anything else
+    is rejected with :class:`IPCError`; shared-memory mode makes one ring
+    write per punt header. The per-frame overhead that dominates a
+    cold-flow storm is paid once per batch.
     """
 
     def __init__(self, mode: InvocationMode = InvocationMode.IPC) -> None:
@@ -600,25 +587,10 @@ class InvocationChannel:
         header: ILPHeader,
         packet: ILPPacket,
     ) -> Any:
-        stats = self.stats
-        stats.invocations += 1
-        recorder = self.recorder
-        span = recorder.begin_span("ipc.invoke", mode=self.mode.value, n=1)
-        try:
-            if self.mode is InvocationMode.IPC:
-                punts = ((header, packet),)
-                request = encode_request(punts)
-                stats._account(self.mode, len(request))
-                rx_punts, _deadlines, refs = decode_request(request)
-                response = encode_response((handler(*rx_punts[0]),), refs)
-                stats._account(self.mode, len(response))
-                return decode_response(response, punts)[0]
-            # Shared-memory mode: hand over references; model the ring-buffer
-            # write with a single small copy of the header bytes.
-            stats._account(self.mode, len(bytes(header.encode())))
-            return handler(header, packet)
-        finally:
-            recorder.end_span(span)
+        """Invoke ``handler`` on one punt: an :meth:`invoke_batch` of one."""
+        return self.invoke_batch(
+            lambda punts: [handler(*punts[0])], [(header, packet)]
+        )[0]
 
     def invoke_batch(
         self,
@@ -631,8 +603,7 @@ class InvocationChannel:
         Returns the handler's result list (one entry per punt, in order).
         In IPC mode the batch makes exactly one frame per direction — the
         request carries every punt, the response every result — so the
-        boundary cost is amortized across the batch; a batch of one costs
-        exactly the bytes of a scalar :meth:`invoke`. Shared-memory mode
+        boundary cost is amortized across the batch. Shared-memory mode
         passes references and models one ring write per punt header.
 
         ``deadlines`` (one optional per-punt slow-path deadline, same order

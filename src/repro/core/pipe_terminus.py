@@ -1,93 +1,88 @@
 """The pipe-terminus: an SN's fast path (Figure 2).
 
-Every packet entering an SN hits the pipe-terminus, which:
-
-1. decrypts the ILP header using the PSP context keyed by the packet's
-   outer L3 source;
-2. queries the decision cache on (L3 src, service ID, connection ID);
-3. on a hit, seals a (possibly TLV-rewritten) header per forwarding target
-   and transmits — multiple targets each get a copy;
-4. on a miss, punts the decrypted header + packet to the service module
-   over the invocation channel; the module's verdict may install cache
-   entries and emit packets, which the terminus seals and sends.
-
 The terminus is deliberately free of service logic; it is the part the
-paper expects to land in switch ASICs eventually (Appendix B.1).
+paper expects to land in switch ASICs eventually (Appendix B.1). There is
+**one pipeline**. :meth:`PipeTerminus.receive_batch` runs it over a burst
+of packets that arrived back to back; :meth:`PipeTerminus.receive` is a
+burst of one. Stage by stage:
 
-Flow-run batching and burst sharding
-------------------------------------
+1. **Decrypt.** One :meth:`~repro.core.psp.PSPContext.open_batch` per
+   consecutive same-peer span, keyed by the packets' outer L3 source.
+   Unknown peers and failed tags are counted drops.
+2. **Shard** (software RSS/GRO). Consecutive packets carrying the same
+   header plaintext from the same peer form a **flow run**; runs of one
+   flow that are not adjacent in the burst merge into one **flow group**,
+   so a fully interleaved burst (run length 1) regains the amortization a
+   flow-local burst gets for free. A packet whose header sets a
+   ``SLOW_PATH`` flag (CONTROL/LAST) is a **barrier**: every group opened
+   before it is decided and egressed before it runs, everything after it,
+   after — teardown and control ordering is exact.
+3. **Decide.** One header decode per group and one
+   :meth:`~repro.core.decision_cache.DecisionCache.lookup_many` pass over
+   a barrier-delimited segment's groups. A hit goes to egress; consecutive
+   misses form a **cold span**.
+4. **Cold span.** Per missed group, in Figure-2 order: the lead packet is
+   charged the cache miss, the service's offload program (if any) may
+   drop or forward it, admission control may shed the group, and
+   otherwise the **lead** punts while its followers park in the bounded
+   per-flow :class:`MissQueue`. All leads of a span cross the service
+   boundary in one :meth:`_punt_batch` →
+   :meth:`~repro.core.ipc.InvocationChannel.invoke_batch` round trip
+   (OVS-style upcall batching: a cold-flow storm costs one crossing per
+   span plus one punt per flow). Verdicts are applied in span order; a
+   lead's parked followers then take one probe — a hit drains them
+   through the freshly installed decision, a miss (the verdict installed
+   nothing, errored, or the service is missing) **replays** them.
+5. **Punt.** Every punt — a span's leads, a lone lead, a barrier —
+   crosses through :meth:`_punt_batch`, the only place that consults a
+   circuit breaker, enforces the slow-path deadline, bills invocation
+   latency and dispatches to a degradation mode. Barriers punt strictly
+   one at a time, each with a fresh header (services may retain or mutate
+   what they are handed), its verdict applied before the next packet is
+   looked at.
+6. **Egress.** Every outgoing packet — decision targets, verdict emits,
+   offload forwards, degraded forwards — leaves through
+   :meth:`send_gather`, the only place that seals a header
+   (:meth:`~repro.core.psp.PSPContext.seal_gather`) and builds an outgoing
+   :class:`~repro.core.packet.ILPPacket`. Egress queues on a per-next-hop
+   gather that is flushed before every boundary crossing and at the end
+   of the burst, so a packet is transmitted with the processing delay
+   accumulated when it was decided; multi-target fan-out flushes the
+   gather and transmits packet-major at once, as bursts of one would.
 
-:meth:`PipeTerminus.receive_batch` processes a burst the way the paper's
-ASIC terminus would pipeline it: one decrypt pass over the burst
-(:meth:`~repro.core.psp.PSPContext.open_batch` per same-peer span), then
-consecutive packets carrying the *same* plaintext header from the same
-peer form a **flow run** that shares one decode, one decision-cache
-probe, one header encode, and a schedule-hoisted seal.
+A **replay** — an offload-programmed group (rules and meters are
+consulted per packet by contract), followers whose lead installed
+nothing, miss-queue overflow — is not a second path: each packet
+re-enters stage 3 as a group of one.
 
-On top of the runs sits the **burst-sharding stage** (software RSS/GRO):
-runs from the same flow — identical (peer, header plaintext) — that are
-*not* adjacent in the burst are merged into one **flow group**, so a
-fully interleaved burst (run length 1) regains the amortization a
-flow-local burst gets for free. Groups are looked up in one
-:meth:`~repro.core.decision_cache.DecisionCache.lookup_many` pass and
-their egress is coalesced per next hop
-(:meth:`send_gather` → :meth:`~repro.core.psp.PSPContext.seal_gather`).
+Equivalence contract
+--------------------
 
-Reordering discipline. Sharding regroups packets *across* flows but
-never within one: a flow's packets stay in arrival order through decode,
-decision, seal, and transmit, so every per-flow observable — the
-sequence of forwarded headers, payloads, and QoS annotations, and (when
-flows do not share an egress association) the exact wire bytes — is
-identical to per-packet :meth:`receive`. This is sound because ILP's
-PSP-style header crypto is explicitly order-independent per packet (§4:
-the nonce travels with the packet; receivers impose no inter-packet
-state), so cross-flow delivery order within one burst is not part of
-wire semantics — the same liberty a multi-queue NIC takes when RSS
-steers flows to different queues. Packets whose header sets a
-``SLOW_PATH`` flag (CONTROL/LAST) act as **barriers**: everything that
-arrived before one is processed before it, everything after it, after —
-teardown and control ordering is preserved exactly, and such packets
-still punt individually with a fresh header each (services may retain
-or mutate what they are handed).
+Sharding regroups packets *across* flows but never within one: a flow's
+packets stay in arrival order through decode, decision, seal and
+transmit, so every per-flow observable — the sequence of forwarded
+headers, payloads and QoS annotations, and (when flows do not share an
+egress association) the exact wire bytes — is identical to feeding the
+same packets as bursts of one, and a flow-contiguous burst matches bursts
+of one in *every* observable, LRU order and nonce sequence included. This
+is sound because ILP's PSP-style header crypto is order-independent per
+packet (§4: the nonce travels with the packet; receivers impose no
+inter-packet state), so cross-flow delivery order within one burst is not
+part of wire semantics — the liberty a multi-queue NIC takes when RSS
+steers flows to different queues. Cross-flow *punt* order within a burst
+follows span order rather than arrival order, while each flow's punts
+always reach its service in arrival order.
 
-Miss coalescing and batched punts
----------------------------------
-
-Cold groups (cache miss) take a **coalesced slow path** instead of
-replaying per-packet: only the group's *lead* packet punts; the
-followers park in a bounded per-flow :class:`MissQueue` and, once the
-verdict installs a decision, drain through the freshly installed fast
-path using the same batch machinery a warm group uses (one
-``lookup_run`` charge, one :meth:`_apply_decision_run` egress). If the
-verdict installs nothing — emit-only services, drops without installs,
-service errors, missing services — the parked packets replay through
-the per-packet slow path exactly as before, so the coalesced path is
-observably equivalent to per-packet processing by construction.
-Consecutive cold groups form a **cold span** whose distinct lead punts
-cross the service boundary in one
-:meth:`~repro.core.ipc.InvocationChannel.invoke_batch` round trip
-(OVS-style upcall batching): a cold-flow storm — flash crowd, post-crash
-cache wipe, membership churn — costs one boundary crossing per span
-plus one punt per flow, not one marshal round trip per packet, so the
-miss path can no longer collapse the node to per-packet throughput.
-Groups whose service has an offload program still replay per-packet
-(offload rules and meters are consulted per packet by contract), and
-``SLOW_PATH`` barriers still punt individually and flush spans like any
-other group.
-
-Like the ASIC pipeline it models, the batched path assumes a slow-path
-verdict within a burst does not retire the PSP association of packets
-already in flight, and that verdicts only mutate their *own*
-connection's fast-path state (cross-flow installs/invalidations take
-effect at the next delivery event, exactly as they would across the
-boundary of a hardware pipeline stage). Cross-flow *punt* order within
-a burst follows span order rather than arrival order — the same liberty
-the sharding stage already takes when it regroups interleaved arrivals
-— while each flow's punts always reach its service in arrival order.
+Like the ASIC pipeline it models, a burst assumes that a slow-path verdict
+does not retire the PSP association of packets already in flight, and that
+verdicts only mutate their *own* connection's fast-path state (cross-flow
+installs and invalidations take effect at the next delivery event, as they
+would across the boundary of a hardware pipeline stage).
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -100,22 +95,34 @@ from .ipc import CostModel, InvocationChannel, InvocationMode
 from .offload import ActionKind, TerminusOffloadEngine
 from .overload import DegradeMode, OverloadGuard, ServicePolicy
 from .packet import ILPPacket, L3Header, Payload
-from .psp import PSPContext, PSPError, PeerKeyStore
-from .service_module import ServiceError, ServiceTimeout, Verdict
+from .psp import PeerKeyStore
+from .service_module import Verdict
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs import NodeObs
     from ..obs.recorder import FlightRecorder, NullRecorder, Span
     from .execution_env import ExecutionEnvironment
 
-#: Sentinel for "caller did not precompute qos_src" (None is a valid value).
-_QOS_UNSET = object()
+#: One decoded flow group: (peer, header plaintext, header, packets, key).
+_Row = tuple[str, bytes, ILPHeader, list[ILPPacket], CacheKey]
+#: One egress gather entry: (header wire form, qos_src, payloads in order).
+_GatherItem = tuple[bytes, Optional[str], list[Payload]]
 
 #: Cold-span plan modes (see :meth:`PipeTerminus._process_cold_span`).
 _COLD_REPLAY = 0  # offload-programmed service: per-packet replay
 _COLD_DRAIN = 1  # dup/revived cache key: drain off the span's installs
 _COLD_LEAD = 2  # true cold flow: lead punts, followers park
 _COLD_SHED = 3  # admission control refused the group: whole run dropped
+
+
+@functools.lru_cache(maxsize=4096)
+def _outer_l3(src: str, dst: str) -> L3Header:
+    """The outer header of every packet ``src`` sends to next hop ``dst``.
+
+    Memoised (bounded): the header is frozen, so all copies share it, and
+    a node speaks to a small set of next hops.
+    """
+    return L3Header(src=src, dst=dst)
 
 
 def _san_check_header_wire(header: ILPHeader, wire: bytes) -> None:
@@ -152,7 +159,6 @@ class ShardStats:
     segments: int = 0
     groups: int = 0
     merged_runs: int = 0
-    gathered_packets: int = 0
     barrier_flushes: int = 0
     cold_spans: int = 0
     cold_groups: int = 0
@@ -335,6 +341,7 @@ class PipeTerminus:
         "peer_activity",
         "obs",
         "recorder",
+        "_gather",
     )
 
     def __init__(
@@ -373,10 +380,9 @@ class PipeTerminus:
         self.pending_delay = 0.0
         #: Optional liveness hook: called with the outer L3 source of
         #: arriving traffic so pipe-health monitoring can treat data as a
-        #: heartbeat (keepalives then flow only over *idle* pipes). The
-        #: batch ingress reports once per same-peer span rather than per
-        #: packet — same liveness information, amortized like the rest of
-        #: the batch work.
+        #: heartbeat (keepalives then flow only over *idle* pipes). Ingress
+        #: reports once per same-peer span rather than per packet — same
+        #: liveness information, amortized like the rest of the burst work.
         self.peer_activity: Optional[Callable[[str], None]] = None
         #: Observability bundle (latency histograms); None when obs is off.
         self.obs: Optional["NodeObs"] = None
@@ -384,38 +390,30 @@ class PipeTerminus:
         #: until :meth:`ServiceNode.enable_observability` installs a real
         #: one, so uninstrumented runs pay one no-op call per stage.
         self.recorder: "FlightRecorder | NullRecorder" = NULL_RECORDER
+        #: Egress decided but not yet transmitted, per next hop, in emission
+        #: order; empty between bursts (see :meth:`_flush_gather`).
+        self._gather: dict[str, list[_GatherItem]] = {}
 
     # -- ingress ----------------------------------------------------------
     def receive(self, packet: ILPPacket) -> None:
-        """Process one packet arriving from any pipe."""
-        self.stats.packets_in += 1
-        self.pending_delay = self.cost_model.terminus_latency
-        recorder = self.recorder
-        if recorder.enabled:
-            recorder.new_trace()
-        span = recorder.begin_span("terminus.receive", n=1)
-        if self.peer_activity is not None:
-            self.peer_activity(packet.l3.src)
-        self._ingress_one(packet, self._clock())
-        recorder.end_span(span)
+        """Process one packet arriving from any pipe: a burst of one."""
+        self.receive_batch([packet])
 
     def receive_batch(self, packets) -> int:
         """Process a burst of packets arriving back-to-back.
 
-        The batch ingress amortizes work at three levels. Per burst: the
-        clock is read once and the terminus processing delay is charged
-        once (slow-path punts inside the batch still add their own
-        invocation latency). Per flow run — consecutive packets from one
-        peer carrying identical header plaintext: one decrypt span. Per
-        flow *group* — all of a flow's runs between two slow-path
-        barriers, merged by the sharding stage: one decode, one
-        decision-cache probe (batched via ``lookup_many``), one header
-        encode, one ``qos_src`` extraction, and a gather-coalesced
-        seal/transmit. Cold groups coalesce their punts too: one lead
-        punt per flow, batched per span, with followers parked in the
-        miss queue and drained through the freshly installed decision
-        (see the module docstring). Per-flow semantics are identical to calling
-        :meth:`receive` per packet (see module docstring for the
+        The work amortizes at three levels. Per burst: the clock is read
+        once and the terminus processing delay is charged once (slow-path
+        punts inside the burst still add their own invocation latency).
+        Per same-peer span: one decrypt pass. Per flow *group* — all of a
+        flow's runs between two slow-path barriers, merged by the sharding
+        stage: one decode, one decision-cache probe (batched via
+        ``lookup_many``), one header encode, one ``qos_src`` extraction,
+        and a gather-coalesced seal/transmit. Cold groups coalesce their
+        punts too: one lead punt per flow, batched per span, with followers
+        parked in the miss queue and drained through the freshly installed
+        decision. Per-flow semantics are identical to feeding the same
+        packets as bursts of one (see the module docstring for the
         equivalence contract and the cross-flow reordering discipline).
 
         Returns the number of packets processed.
@@ -430,74 +428,68 @@ class PipeTerminus:
         recorder = self.recorder
         if recorder.enabled:
             recorder.new_trace()
-        rec = recorder.recording
         burst_span = recorder.begin_span("terminus.receive", n=n_in)
 
-        # Pass 1 — decrypt: one open_batch per consecutive same-peer span.
-        peers: list[str] = []
-        plains: list[Optional[bytes]] = []
-        extend = plains.extend
+        # Stage 1 — decrypt: one open_batch per consecutive same-peer span.
+        # Stage 2 — shard: within the span, merge flow runs (identical
+        # plaintext) into flow groups, keeping each flow's packets in
+        # arrival order; groups stay open across spans. Slow-path packets
+        # are barriers: every group that opened before one is flushed
+        # before it runs, and a fresh segment starts after.
+        shard = self.shard_stats
+        shard.bursts += 1
         peer_activity = self.peer_activity
+        open_groups: dict[tuple[str, bytes], list[ILPPacket]] = {}
         i = 0
         while i < n_in:
             peer = packets[i].l3.src
             j = i + 1
             while j < n_in and packets[j].l3.src == peer:
                 j += 1
-            peers.extend([peer] * (j - i))
             if peer_activity is not None:
                 peer_activity(peer)
             ctx = contexts.get(peer)
             if ctx is None:
                 stats.drops_no_peer += j - i
-                extend([None] * (j - i))
-            else:
-                opened = ctx.open_batch([p.ilp_wire for p in packets[i:j]])
-                stats.drops_auth += sum(1 for pt in opened if pt is None)
-                extend(opened)
-                if rec:
-                    recorder.event("terminus.decrypt", peer=peer, n=j - i)
-            i = j
-
-        # Pass 2 — burst sharding: merge flow runs (same peer, identical
-        # plaintext) into flow groups, keeping each flow's packets in
-        # arrival order. Slow-path packets are barriers: every group that
-        # opened before one is flushed before it runs, and a fresh segment
-        # starts after it.
-        shard = self.shard_stats
-        shard.bursts += 1
-        flush_segment = self._flush_segment
-        process_run = self._process_run
-        open_groups: dict[tuple[str, bytes], list[ILPPacket]] = {}
-        i = 0
-        while i < n_in:
-            plain = plains[i]
-            if plain is None:
-                i += 1
+                i = j
                 continue
-            peer = peers[i]
-            j = i + 1
-            while j < n_in and plains[j] == plain and peers[j] == peer:
-                j += 1
-            if (
-                len(plain) > FLAGS_WIRE_OFFSET
-                and plain[FLAGS_WIRE_OFFSET] & Flags.SLOW_PATH
-            ):
-                if open_groups:
-                    flush_segment(open_groups, now)
-                    open_groups = {}
-                shard.barrier_flushes += 1
-                process_run(peer, plain, packets[i:j], now)
-            else:
-                group = open_groups.get((peer, plain))
-                if group is None:
-                    open_groups[(peer, plain)] = packets[i:j]
+            plains = ctx.open_batch([p.ilp_wire for p in packets[i:j]])
+            stats.drops_auth += plains.count(None)
+            if recorder.recording:
+                recorder.event("terminus.decrypt", peer=peer, n=j - i)
+            n_span = j - i
+            k = 0
+            while k < n_span:
+                plain = plains[k]
+                m = k + 1
+                if plain is None:
+                    k = m
+                    continue
+                while m < n_span and plains[m] == plain:
+                    m += 1
+                run = packets[i + k : i + m]
+                if (
+                    len(plain) > FLAGS_WIRE_OFFSET
+                    and plain[FLAGS_WIRE_OFFSET] & Flags.SLOW_PATH
+                ):
+                    if open_groups:
+                        self._flush_segment(open_groups, now)
+                        open_groups = {}
+                    shard.barrier_flushes += 1
+                    self._punt_barriers(plain, run, now)
                 else:
-                    group.extend(packets[i:j])
-                    shard.merged_runs += 1
+                    flow = (peer, plain)
+                    group = open_groups.get(flow)
+                    if group is None:
+                        open_groups[flow] = run
+                    else:
+                        group += run
+                        shard.merged_runs += 1
+                k = m
             i = j
         if open_groups:
-            flush_segment(open_groups, now)
+            self._flush_segment(open_groups, now)
+        self._flush_gather()
 
         if _san.ENABLED:
             # Every packet parked during this burst must be gone: drained
@@ -507,317 +499,98 @@ class PipeTerminus:
         stats.packets_in += n_in
         return n_in
 
-    def _ingress_one(self, packet: ILPPacket, now: float) -> None:
-        """Decrypt → decode → cache/offload/punt for one packet."""
-        peer = packet.l3.src
-        ctx = self.keystore.contexts.get(peer)
-        if ctx is None:
-            self.stats.drops_no_peer += 1
-            return
-        try:
-            plaintext = ctx.open(packet.ilp_wire)
-        except PSPError:
-            self.stats.drops_auth += 1
-            return
-        if self.recorder.recording:
-            self.recorder.event("terminus.decrypt", peer=peer, n=1)
-        self._ingress_decoded(peer, plaintext, packet, now)
-
-    def _ingress_decoded(
-        self, peer: str, plaintext: bytes, packet: ILPPacket, now: float
-    ) -> None:
-        """Decode → cache/offload/punt for one already-decrypted packet."""
-        try:
-            header = ILPHeader.decode(plaintext)
-        except ILPError:
-            self.stats.drops_malformed += 1
-            return
-        if header.flags & Flags.SLOW_PATH:
-            # Control and teardown packets always take the slow path: the
-            # service must see LAST to tear down its state and invalidate
-            # cache entries (a fast-path hit would hide it).
-            self._punt(header, packet)
-            return
-        key = CacheKey(
-            src=peer,
-            service_id=header.service_id,
-            connection_id=header.connection_id,
-        )
-        decision = self.cache.lookup(key, now=now)
-        if decision is not None:
-            if self.recorder.recording:
-                self.recorder.event("terminus.cache_hit", peer=peer, n=1)
-            self.apply_decision(decision, header, packet.payload)
-            self.stats.fast_path += 1
-            return
-        self._miss_path(peer, header, packet, now)
-
-    def _miss_path(
-        self, peer: str, header: ILPHeader, packet: ILPPacket, now: float
-    ) -> None:
-        """Offload consult → punt, after a decision-cache miss."""
-        offload = self.offload
-        if offload.has_program(header.service_id):
-            offloaded = offload.process(
-                peer, header, packet.payload.wire_size, now
-            )
-            if offloaded.kind is ActionKind.DROP:
-                self.stats.drops_by_offload += 1
-                return
-            if offloaded.kind is ActionKind.FORWARD:
-                self.stats.offload_path += 1
-                self.send(offloaded.peer, header, packet.payload)
-                return
-        guard = self.overload
-        if guard.admission is not None and not guard.admit(
-            now, self.miss_queue.live
-        ):
-            # Priority-aware shedding: only true-cold data packets reach
-            # this point — barriers punt directly and established flows hit
-            # the cache — so CONTROL/LAST frames and warm flows are never
-            # shed by construction.
-            self.stats.drops_shed += 1
-            guard.stats.shed_packets += 1
-            obs = self.obs
-            if obs is not None:
-                obs.sheds.inc()
-            if self.recorder.recording:
-                self.recorder.event("overload.shed", peer=peer, n=1)
-            return
-        self._punt(header, packet)
-
-    # -- flow runs --------------------------------------------------------
-    def _process_run(
-        self, peer: str, plain: bytes, run: list[ILPPacket], now: float
-    ) -> None:
-        """Process one flow run (same peer, identical header plaintext)."""
-        try:
-            header = ILPHeader.decode(plain)
-        except ILPError:
-            self.stats.drops_malformed += len(run)
-            return
-        if header.flags & Flags.SLOW_PATH:
-            # Punts get a fresh header per packet: services may retain or
-            # mutate the object they are handed.
-            self._punt(header, run[0])
-            for packet in run[1:]:
-                self._punt(ILPHeader.decode(plain), packet)
-            return
-        key = CacheKey(
-            src=peer,
-            service_id=header.service_id,
-            connection_id=header.connection_id,
-        )
-        decision = self.cache.lookup_run(key, len(run), now=now)
-        if decision is None:
-            # Cold run: replay per-packet — the first packet's punt may
-            # install the decision the rest of the run then hits, and each
-            # scalar lookup counts itself.
-            ingress_decoded = self._ingress_decoded
-            for packet in run:
-                ingress_decoded(peer, plain, packet, now)
-            return
-        self.stats.fast_path += len(run)
-        if self.recorder.recording:
-            self.recorder.event("terminus.cache_hit", peer=peer, n=len(run))
-        self._apply_decision_run(decision, header, run)
-
-    def _apply_decision_run(
-        self, decision: Decision, header: ILPHeader, run: list[ILPPacket]
-    ) -> None:
-        """Apply one cached decision to a whole flow run."""
-        if decision.action is Action.DROP:
-            self.stats.drops_by_decision += len(run)
-            return
-        targets = decision.targets
-        encoded = header.encode()
-        qos_src = header.get_str(TLV.SRC_HOST)
-        if len(targets) == 1:
-            target = targets[0]
-            if target.tlv_updates:
-                out_header = header.copy()
-                for tlv_type, value in target.tlv_updates:
-                    out_header.tlvs[tlv_type] = value
-                self.send_run(
-                    target.peer,
-                    out_header.encode(),
-                    out_header.get_str(TLV.SRC_HOST),
-                    run,
-                )
-            else:
-                self.send_run(target.peer, encoded, qos_src, run)
-            return
-        # Multi-target fan-out: precompute one (peer, wire, qos_src) plan per
-        # target, then transmit packet-major so ordering (and therefore each
-        # egress context's nonce sequence) matches the per-packet path.
-        plans = []
-        for target in targets:
-            if target.tlv_updates:
-                out_header = header.copy()
-                for tlv_type, value in target.tlv_updates:
-                    out_header.tlvs[tlv_type] = value
-                plans.append(
-                    (
-                        target.peer,
-                        out_header.encode(),
-                        out_header.get_str(TLV.SRC_HOST),
-                    )
-                )
-            else:
-                plans.append((target.peer, encoded, qos_src))
-        stats = self.stats
-        contexts = self.keystore.contexts
-        node_address = self.node_address
-        created = self._clock()
-        transmit = self._transmit
-        for packet in run:
-            payload = packet.payload
-            for peer, wire_plain, qsrc in plans:
-                ctx = contexts.get(peer)
-                if ctx is None:
-                    stats.drops_no_peer += 1
-                    continue
-                out = ILPPacket(
-                    l3=L3Header(src=node_address, dst=peer),
-                    ilp_wire=ctx.seal(wire_plain),
-                    payload=payload,
-                    created_at=created,
-                    qos_src=qsrc,
-                )
-                if transmit(peer, out):
-                    stats.packets_out += 1
-
-    # -- burst sharding ---------------------------------------------------
+    # -- decide -----------------------------------------------------------
     def _flush_segment(
         self,
         groups: dict[tuple[str, bytes], list[ILPPacket]],
         now: float,
     ) -> None:
-        """Decide and egress one barrier-delimited segment of flow groups.
+        """Decode one barrier-delimited segment of flow groups and decide it.
 
-        One decode per group, one :meth:`DecisionCache.lookup_many` pass
-        over every group's key, then egress in group (first-appearance)
-        order. Consecutive single-target hit groups coalesce into a
-        per-next-hop gather; anything that can emit through another code
-        path — cold spans (punt verdicts emit), multi-target fan-out,
-        TLV rewrites — flushes the gather first so emissions keep segment
-        order. Consecutive *cold* groups accumulate into a span handled
-        by :meth:`_process_cold_span` (coalesced punts); a hot group or
-        the segment end flushes the span before anything later emits.
+        One decode per group; a group whose header does not parse is a
+        counted drop.
         """
         shard = self.shard_stats
         shard.segments += 1
         shard.groups += len(groups)
-        stats = self.stats
-        recorder = self.recorder
-        decoded: list[
-            tuple[str, bytes, ILPHeader, list[ILPPacket], CacheKey]
-        ] = []
-        keys: list[CacheKey] = []
-        counts: list[int] = []
+        rows: list[_Row] = []
         for (peer, plain), run in groups.items():
             try:
                 header = ILPHeader.decode(plain)
             except ILPError:
-                stats.drops_malformed += len(run)
+                self.stats.drops_malformed += len(run)
                 continue
-            key = CacheKey(
-                src=peer,
-                service_id=header.service_id,
-                connection_id=header.connection_id,
-            )
-            decoded.append((peer, plain, header, run, key))
-            keys.append(key)
-            counts.append(len(run))
-        if not decoded:
-            return
-        decisions = self.cache.lookup_many(keys, counts, now=now)
+            key = CacheKey(peer, header.service_id, header.connection_id)
+            rows.append((peer, plain, header, run, key))
+        self._decide(rows, now)
 
-        gather: dict[str, list[tuple[bytes, Optional[str], list[ILPPacket]]]]
-        gather = {}
+    def _decide(self, rows: list[_Row], now: float) -> None:
+        """Probe the decision cache for decoded groups; egress or go cold.
 
-        def flush_gather() -> None:
-            if not gather:
-                return
-            ctxs = self.keystore.prefetch(list(gather))
-            for g_peer, items in gather.items():
-                ctx = ctxs.get(g_peer)
-                if ctx is None:
-                    stats.drops_no_peer += sum(len(r) for _, _, r in items)
-                else:
-                    self.send_gather(g_peer, items, ctx=ctx)
-            gather.clear()
-
-        span: list[tuple[str, bytes, ILPHeader, list[ILPPacket], CacheKey]]
-        span = []
-        for row, decision in zip(decoded, decisions):
-            peer, plain, header, run, _key = row
+        One :meth:`DecisionCache.lookup_many` pass over every group's key,
+        then group (first-appearance) order: a hit queues on the egress
+        gather, consecutive misses accumulate into a cold span handled by
+        :meth:`_process_cold_span` before any later group is looked at.
+        """
+        stats = self.stats
+        recorder = self.recorder
+        decisions = self.cache.lookup_many(
+            [row[4] for row in rows], [len(row[3]) for row in rows], now=now
+        )
+        span: list[_Row] = []
+        for row, decision in zip(rows, decisions):
             if decision is None:
-                # Cold group: open (or extend) a cold span. Its emissions
-                # happen at span flush, which precedes the next hot
-                # group's, so segment emission order is preserved.
-                flush_gather()
                 span.append(row)
                 continue
             if span:
                 self._process_cold_span(span, now)
                 span = []
+            run = row[3]
             stats.fast_path += len(run)
             if recorder.recording:
-                recorder.event("terminus.cache_hit", peer=peer, n=len(run))
-            if decision.action is Action.DROP:
-                stats.drops_by_decision += len(run)
-                continue
-            targets = decision.targets
-            if len(targets) == 1 and not targets[0].tlv_updates:
-                items = gather.get(targets[0].peer)
-                entry = (header.encode(), header.get_str(TLV.SRC_HOST), run)
-                if items is None:
-                    gather[targets[0].peer] = [entry]
-                else:
-                    items.append(entry)
-                shard.gathered_packets += len(run)
-            else:
-                flush_gather()
-                self._apply_decision_run(decision, header, run)
+                recorder.event("terminus.cache_hit", peer=row[0], n=len(run))
+            self._egress(decision, row[2], [p.payload for p in run])
         if span:
             self._process_cold_span(span, now)
-        flush_gather()
 
-    def _process_cold_span(
-        self,
-        rows: list[tuple[str, bytes, ILPHeader, list[ILPPacket], CacheKey]],
-        now: float,
-    ) -> None:
+    def _replay(self, row: _Row, packets: list[ILPPacket], now: float) -> None:
+        """Feed a group's packets back through :meth:`_decide`, one by one.
+
+        Each becomes a group of one sharing the row's decoded header (it
+        is pristine: punts always get a fresh decode).
+        """
+        peer, plain, header, _run, key = row
+        for packet in packets:
+            self._decide([(peer, plain, header, [packet], key)], now)
+
+    def _process_cold_span(self, rows: list[_Row], now: float) -> None:
         """Coalesce a span of consecutive cold groups through the slow path.
 
-        Three phases, each preserving per-flow order and the exact charges
-        the per-packet path would make:
+        Three phases, each preserving per-flow order and the charges
+        bursts of one would make:
 
-        1. **Plan.** Each group gets a mode. Offload-programmed services
-           replay per-packet (rules and meters are consulted per packet).
-           A group whose cache key already appeared in this span (the key
-           is not injective over flows: same connection, different TLVs)
-           or is already back in the cache (revived by an earlier span's
-           install in this segment) *drains* in phase 3 — its packets hit
-           whatever the span installs, exactly as they would per-packet,
-           and crucially without a second punt. Everything else is a true
-           cold flow: its **lead** is charged the scalar miss (one lookup)
-           and queued for the batch punt, its followers park in the miss
-           queue (overflow spills to per-packet replay).
+        1. **Plan.** Each group gets a mode. A group whose service has an
+           offload program replays (rules and meters are consulted per
+           packet) — unless it *is* one lone packet, the unit the program
+           speaks of, which is resolved in place. A group whose cache key
+           already appeared in this span (the key is not injective over
+           flows: same connection, different TLVs) or is already back in
+           the cache (revived by an earlier span's install in this
+           segment) *drains* in phase 3 — its packets hit whatever the
+           span installs, crucially without a second punt. Everything else
+           is a true cold flow, taken in Figure-2 order: its **lead** is
+           charged the miss (one scalar lookup), the offload program may
+           resolve it, admission control may shed the group, and otherwise
+           the lead is queued for the batch punt while its followers park
+           in the miss queue (overflow spills to replay).
         2. **Punt.** All lead packets cross the service boundary in one
-           :meth:`_punt_batch` (one marshal round trip in IPC mode).
+           :meth:`_punt_batch`.
         3. **Apply + drain.** In span order: a lead's verdict is applied
-           (installs + emits), then its parked followers take one
-           ``lookup_run`` — a hit drains them through the installed fast
-           path; a miss (the verdict installed nothing, or errored) hands
-           them back to per-packet replay, which re-punts each exactly as
-           the scalar path would. Drain/spill groups do the same minus
-           the lead punt. Drained runs — and verdict emits that forward
-           the lead's own payload — coalesce into the same per-next-hop
-           gather egress the hot path uses; anything emitting through
-           another code path flushes the gather first, keeping the same
-           ordering discipline as :meth:`_flush_segment`.
+           (installs + emits), then its parked followers take one probe —
+           a hit drains them through the installed decision; a miss (the
+           verdict installed nothing, or errored) replays them, which
+           re-punts each. Drain groups and spills do the same minus the
+           lead punt.
         """
         shard = self.shard_stats
         shard.cold_spans += 1
@@ -826,60 +599,56 @@ class PipeTerminus:
         cache = self.cache
         queue = self.miss_queue
         offload = self.offload
-        ingress_decoded = self._ingress_decoded
         recorder = self.recorder
         rec = recorder.recording
-        punt_spans: list["Span"] = []
-
-        gather: dict[str, list[tuple[bytes, Optional[str], list[ILPPacket]]]]
-        gather = {}
-
-        def flush_gather() -> None:
-            if not gather:
-                return
-            ctxs = self.keystore.prefetch(list(gather))
-            for g_peer, items in gather.items():
-                ctx = ctxs.get(g_peer)
-                if ctx is None:
-                    stats.drops_no_peer += sum(len(r) for _, _, r in items)
-                else:
-                    self.send_gather(g_peer, items, ctx=ctx)
-            gather.clear()
-
-        def gather_append(
-            peer: str, entry: tuple[bytes, Optional[str], list[ILPPacket]]
-        ) -> None:
-            items = gather.get(peer)
-            if items is None:
-                gather[peer] = [entry]
-            else:
-                items.append(entry)
-
-        # Phase 1 — plan.
         guard = self.overload
         admission = guard.admission
-        obs = self.obs
+        lone = len(rows) == 1 and len(rows[0][3]) == 1
+
+        # Phase 1 — plan.
         modes: list[int] = []
         leads: list[tuple[ILPHeader, ILPPacket]] = []
+        punt_spans: list["Span"] = []
         spills: dict[tuple[str, bytes], list[ILPPacket]] = {}
         seen_keys: set[CacheKey] = set()
         for peer, plain, header, run, key in rows:
-            if offload.has_program(header.service_id):
+            programmed = offload.has_program(header.service_id)
+            if programmed and not lone:
                 modes.append(_COLD_REPLAY)
                 continue
             if key in seen_keys or key in cache:
-                # Membership only: no charge, no LRU touch — phase 3's
-                # lookup_run makes the (position-correct) charged probe.
+                # Membership only: no charge, no LRU touch — phase 3 makes
+                # the (position-correct) charged probe.
                 modes.append(_COLD_DRAIN)
                 continue
+            # Charge the lead's miss (lookup_many charged nothing); misses
+            # touch no LRU state, so the early charge is invisible.
+            cache.lookup(key, now=now)
+            if programmed:
+                offloaded = offload.process(
+                    peer, header, run[0].payload.wire_size, now
+                )
+                # ``lone``: this row is the whole span, so resolving it
+                # here ends the span.
+                if offloaded.kind is ActionKind.DROP:
+                    stats.drops_by_offload += 1
+                    return
+                if offloaded.kind is ActionKind.FORWARD:
+                    stats.offload_path += 1
+                    self._gather_add(
+                        offloaded.peer,
+                        header.encode(),
+                        header.get_str(TLV.SRC_HOST),
+                        [run[0].payload],
+                    )
+                    return
             if admission is not None and not guard.admit(now, queue.live):
-                # Priority-aware shedding, batch flavor: only true-cold
-                # groups reach this check — barriers flushed before the
-                # span, warm flows hit the cache, dup/revived keys drain —
-                # so CONTROL/LAST and established flows are never shed.
-                # One token covers the whole group (the batch analogue of
-                # the per-packet scalar consume); the would-be followers
-                # join the miss-queue ledger through its ``shed`` exit.
+                # Priority-aware shedding: only true-cold groups reach this
+                # check — barriers punt directly, warm flows hit the cache,
+                # dup/revived keys drain — so CONTROL/LAST and established
+                # flows are never shed. One token covers the whole group;
+                # the would-be followers join the miss-queue ledger through
+                # its ``shed`` exit.
                 modes.append(_COLD_SHED)
                 n = len(run)
                 stats.drops_shed += n
@@ -887,16 +656,13 @@ class PipeTerminus:
                 guard.stats.shed_groups += 1
                 if n > 1:
                     queue.shed(n - 1)
-                if obs is not None:
-                    obs.sheds.inc(n)
+                if self.obs is not None:
+                    self.obs.sheds.inc(n)
                 if rec:
                     recorder.event("overload.shed", peer=peer, n=n)
                 continue
             seen_keys.add(key)
             modes.append(_COLD_LEAD)
-            # Charge the lead's scalar miss (lookup_many charged nothing);
-            # misses touch no LRU state, so the early charge is invisible.
-            cache.lookup(key, now=now)
             # Fresh header for the punt: services may retain or mutate
             # what they are handed; the row header must stay pristine for
             # the drain egress.
@@ -909,9 +675,10 @@ class PipeTerminus:
                         connection=header.connection_id,
                     )
                 )
-            spill = queue.park((peer, plain), run[1:])
+            flow = (peer, plain)
+            spill = queue.park(flow, run[1:])
             if spill:
-                spills[(peer, plain)] = spill
+                spills[flow] = spill
             if rec and len(run) > 1 + len(spill):
                 recorder.event(
                     "miss.park", peer=peer, n=len(run) - 1 - len(spill)
@@ -919,288 +686,134 @@ class PipeTerminus:
 
         # Phase 2 — one batched boundary crossing for every lead.
         verdicts = self._punt_batch(leads) if leads else []
-        if rec:
-            for punt_span in punt_spans:
-                recorder.end_span(punt_span)
+        for punt_span in punt_spans:
+            recorder.end_span(punt_span)
 
         # Phase 3 — apply verdicts and drain, in span order.
-        def drain_or_replay(
-            peer: str,
-            plain: bytes,
-            header: ILPHeader,
-            key: CacheKey,
-            packets: list[ILPPacket],
-            count_charge: int,
-        ) -> None:
-            """One charged probe, then gather-drain or per-packet replay."""
-            decision = cache.lookup_run(key, count_charge, now=now)
-            if decision is None:
-                flush_gather()
-                for packet in packets:
-                    ingress_decoded(peer, plain, packet, now)
-                return
-            stats.fast_path += len(packets)
-            if rec:
-                recorder.event("terminus.cache_hit", peer=peer, n=len(packets))
-            targets = decision.targets
-            if (
-                decision.action is not Action.DROP
-                and len(targets) == 1
-                and not targets[0].tlv_updates
-            ):
-                gather_append(
-                    targets[0].peer,
-                    (header.encode(), header.get_str(TLV.SRC_HOST), packets),
-                )
-            else:
-                flush_gather()
-                self._apply_decision_run(decision, header, packets)
-
         lead_i = 0
-        install_many = cache.install_many
-        for (peer, plain, header, run, key), mode in zip(rows, modes):
+        for row, mode in zip(rows, modes):
+            peer, plain, _header, run, key = row
             if mode == _COLD_SHED:
                 continue
             if mode == _COLD_REPLAY:
-                flush_gather()
-                for packet in run:
-                    ingress_decoded(peer, plain, packet, now)
+                self._replay(row, run, now)
                 continue
             if mode == _COLD_DRAIN:
-                drain_or_replay(peer, plain, header, key, run, len(run))
+                decision = cache.lookup_many([key], [len(run)], now=now)[0]
+                if rec and decision is not None:
+                    recorder.event("terminus.cache_hit", peer=peer, n=len(run))
+                self._drain(decision, row, run, now)
                 continue
             verdict = verdicts[lead_i]
             lead_i += 1
             if verdict is not None:
-                if verdict.installs:
-                    install_many(verdict.installs, now=now)
-                if verdict.dropped:
-                    stats.drops_by_service += 1
-                for emit in verdict.emits:
-                    # Ride the gather: send_gather only reads .payload
-                    # off the carrier, so the lead's (frozen) L3 header
-                    # is reused rather than re-parsed.
-                    gather_append(
-                        emit.peer,
-                        (
-                            emit.header.encode(),
-                            emit.header.get_str(TLV.SRC_HOST),
-                            [
-                                ILPPacket(
-                                    l3=run[0].l3,
-                                    ilp_wire=b"",
-                                    payload=emit.payload,
-                                )
-                            ],
-                        ),
-                    )
+                self._apply_verdict(verdict, now)
             flow = (peer, plain)
             count = queue.parked_count(flow)
             if count:
-                decision = cache.lookup_run(key, count, now=now)
-                if decision is None:
-                    if rec:
-                        recorder.event("miss.replay", peer=peer, n=count)
-                    flush_gather()
-                    for packet in queue.drain(flow, fast=False):
-                        ingress_decoded(peer, plain, packet, now)
-                else:
-                    stats.fast_path += count
-                    if rec:
-                        recorder.event("miss.drain", peer=peer, n=count)
-                    parked = queue.drain(flow, fast=True)
-                    targets = decision.targets
-                    if (
-                        decision.action is not Action.DROP
-                        and len(targets) == 1
-                        and not targets[0].tlv_updates
-                    ):
-                        gather_append(
-                            targets[0].peer,
-                            (
-                                header.encode(),
-                                header.get_str(TLV.SRC_HOST),
-                                parked,
-                            ),
-                        )
-                    else:
-                        flush_gather()
-                        self._apply_decision_run(decision, header, parked)
+                decision = cache.lookup_many([key], [count], now=now)[0]
+                hit = decision is not None
+                if rec:
+                    recorder.event(
+                        "miss.drain" if hit else "miss.replay", peer=peer, n=count
+                    )
+                self._drain(decision, row, queue.drain(flow, fast=hit), now)
             spill = spills.get(flow)
             if spill:
-                flush_gather()
-                for packet in spill:
-                    ingress_decoded(peer, plain, packet, now)
-        flush_gather()
+                self._replay(row, spill, now)
+
+    def _drain(
+        self,
+        decision: Optional[Decision],
+        row: _Row,
+        packets: list[ILPPacket],
+        now: float,
+    ) -> None:
+        """Egress a probed run through its decision, or replay it on a miss."""
+        if decision is None:
+            self._replay(row, packets, now)
+            return
+        self.stats.fast_path += len(packets)
+        self._egress(decision, row[2], [p.payload for p in packets])
 
     # -- fast path --------------------------------------------------------
+    def _egress(
+        self, decision: Decision, header: ILPHeader, payloads: list[Payload]
+    ) -> None:
+        """Queue one decision's egress for a flow's payloads on the gather.
+
+        One encode and one ``qos_src`` extraction serve every target
+        without TLV rewrites; a target that rewrites gets a header copy
+        (whose encode memo the rewrite invalidates) and re-extracts from
+        it. Multi-target fan-out transmits packet-major, right away, so
+        emission order — and therefore each egress context's nonce
+        sequence — is what bursts of one would produce.
+        """
+        if decision.action is Action.DROP:
+            self.stats.drops_by_decision += len(payloads)
+            return
+        encoded = header.encode()
+        qos_src = header.get_str(TLV.SRC_HOST)
+        plans: list[tuple[str, bytes, Optional[str]]] = []
+        for target in decision.targets:
+            if target.tlv_updates:
+                out = header.copy()
+                for tlv_type, value in target.tlv_updates:
+                    out.tlvs[tlv_type] = value
+                plans.append(
+                    (target.peer, out.encode(), out.get_str(TLV.SRC_HOST))
+                )
+            else:
+                plans.append((target.peer, encoded, qos_src))
+        if len(plans) == 1:
+            peer, encoded, qos_src = plans[0]
+            self._gather_add(peer, encoded, qos_src, payloads)
+            return
+        self._flush_gather()
+        for payload in payloads:
+            for peer, encoded, qos_src in plans:
+                self.send_gather(peer, [(encoded, qos_src, [payload])])
+
     def apply_decision(
         self, decision: Decision, header: ILPHeader, payload: Payload
     ) -> None:
         """Apply one (cached or recomputed) decision to a single packet."""
-        if decision.action is Action.DROP:
-            self.stats.drops_by_decision += 1
-            return
-        # One encode and one qos_src extraction serve every target without
-        # TLV rewrites; targets that rewrite get a copy (whose memo is
-        # invalidated by the rewrite) and re-extract from it.
-        encoded = header.encode()
-        qos_src = header.get_str(TLV.SRC_HOST)
-        for target in decision.targets:
-            if target.tlv_updates:
-                out_header = header.copy()
-                for tlv_type, value in target.tlv_updates:
-                    out_header.tlvs[tlv_type] = value
-                self.send(target.peer, out_header, payload)
-            else:
-                self.send(
-                    target.peer, header, payload, encoded=encoded, qos_src=qos_src
-                )
+        self._egress(decision, header, [payload])
+        self._flush_gather()
 
     def set_transmit(self, transmit: Callable[[str, ILPPacket], bool]) -> None:
         """Replace the transmit hook (tests, fault injection, rewiring)."""
         self._transmit = transmit
 
     # -- slow path ----------------------------------------------------------
-    def _punt(self, header: ILPHeader, packet: ILPPacket) -> None:
-        guard = self.overload
-        policy = (
-            guard.policies.get(header.service_id) if guard.policies else None
-        )
-        now = self._clock() if policy is not None else 0.0
-        if (
-            policy is not None
-            and not header.flags & Flags.SLOW_PATH
-            and not guard.breakers[header.service_id].allow(now)
-        ):
-            # Open circuit: resolve via the service's degradation mode
-            # without crossing the boundary — the struggling service never
-            # sees the packet and the terminus bills no invocation latency,
-            # so healthy services on this SN keep their goodput. Barriers
-            # (CONTROL/LAST) are exempt: teardown must reach the service
-            # (or fail closed in :meth:`_degrade`), never be short-cut into
-            # a forward or a stale replay.
-            guard.stats.short_circuits += 1
-            obs = self.obs
-            if obs is not None:
-                obs.short_circuits.inc()
-                obs.breakers_open.set(float(guard.open_count()))
-            if self.recorder.recording:
-                self.recorder.event(
-                    "overload.short_circuit", service=header.service_id, n=1
-                )
-            self._degrade(policy, header, packet)
-            return
-        self.stats.punts += 1
-        if not self.env.has_service(header.service_id):
-            self.stats.drops_no_service += 1
-            return
-        recorder = self.recorder
-        span = recorder.begin_span(
-            "terminus.punt",
-            service=header.service_id,
-            connection=header.connection_id,
-        )
-        try:
-            verdict = self._invoke_one(header, packet, policy, now)
-        finally:
-            recorder.end_span(span)
-        if verdict is not None:
-            self.apply_verdict(verdict)
+    def _punt_barriers(
+        self, plain: bytes, run: list[ILPPacket], now: float
+    ) -> None:
+        """Punt a run of CONTROL/LAST packets strictly one at a time.
 
-    def _invoke_one(
-        self,
-        header: ILPHeader,
-        packet: ILPPacket,
-        policy: Optional[ServicePolicy],
-        now: float,
-    ) -> Optional[Verdict]:
-        """Invoke one punt scalar-style, with deadline + breaker accounting.
-
-        The caller has already counted the punt, checked service presence,
-        and cleared the circuit breaker; this helper owns the invocation,
-        the billing, and failure resolution — degradation when a policy is
-        set, the classic by-service drop otherwise. One boundary round
-        trip plus the service's per-packet CPU; a failed invocation still
-        crossed the boundary and burned that CPU, so by default it bills
-        the same latency (see :attr:`CostModel.bill_failed_invocations`).
-        A timed-out punt bills the crossing plus the full deadline — the
-        wait *is* the overload cost the breaker then removes.
+        Control and teardown packets always take the slow path: the
+        service must see LAST to tear down its state and invalidate cache
+        entries (a fast-path hit would hide it). Each punt is a batch of
+        one with a fresh header, its verdict applied before the next.
         """
-        env = self.env
-        cost = self.cost_model
-        guard = self.overload
-        service_id = header.service_id
-        in_enclave = env.enclave_for(service_id) is not None
-        base = cost.invocation_latency(self.channel.mode, in_enclave)
-        latency = base + cost.service_packet
-        deadline = (
-            policy.deadline
-            if policy is not None and policy.deadline is not None
-            else cost.punt_deadline
-        )
-        fault = env.service_fault(service_id)
-        breaker = (
-            guard.breakers.get(service_id) if policy is not None else None
-        )
         recorder = self.recorder
-        obs = self.obs
-        try:
-            if fault is None:
-                verdict: Verdict = self.channel.invoke(
-                    env.dispatch, header, packet
-                )
-            else:
-                verdict = self.channel.invoke(
-                    lambda h, p: env.dispatch(h, p, deadline), header, packet
-                )
-        except ServiceTimeout:
-            guard.stats.deadline_misses += 1
-            if breaker is not None and breaker.record_timeout(now):
-                if obs is not None:
-                    obs.breaker_trips.inc()
-                if recorder.recording:
-                    recorder.event(
-                        "overload.breaker_open", service=service_id
-                    )
-            waited = base + (deadline or 0.0)
-            self.pending_delay += waited
-            if obs is not None:
-                obs.deadline_misses.inc()
-                obs.punt_latency.record(waited)
-            if recorder.recording:
-                recorder.event("overload.timeout", service=service_id, n=1)
-            if policy is not None:
-                self._degrade(policy, header, packet)
-            else:
-                self.stats.drops_by_service += 1
-            return None
-        except ServiceError:
-            if breaker is not None and breaker.record_error(now):
-                if obs is not None:
-                    obs.breaker_trips.inc()
-                if recorder.recording:
-                    recorder.event(
-                        "overload.breaker_open", service=service_id
-                    )
-            if cost.bill_failed_invocations:
-                self.pending_delay += latency
-                if obs is not None:
-                    obs.punt_latency.record(latency)
-            if policy is not None:
-                self._degrade(policy, header, packet)
-            else:
-                self.stats.drops_by_service += 1
-            return None
-        if breaker is not None:
-            breaker.record_success(now)
-        if fault is not None:
-            # A slowed-but-within-deadline service billed its slowdown.
-            latency += fault.slowdown
-        self.pending_delay += latency
-        if obs is not None:
-            obs.punt_latency.record(latency)
-        return verdict
+        for packet in run:
+            try:
+                header = ILPHeader.decode(plain)
+            except ILPError:
+                self.stats.drops_malformed += 1
+                continue
+            span = recorder.begin_span(
+                "terminus.punt",
+                service=header.service_id,
+                connection=header.connection_id,
+            )
+            try:
+                verdict = self._punt_batch([(header, packet)])[0]
+            finally:
+                recorder.end_span(span)
+            if verdict is not None:
+                self._apply_verdict(verdict, now)
 
     def _degrade(
         self, policy: ServicePolicy, header: ILPHeader, packet: ILPPacket
@@ -1241,35 +854,39 @@ class PipeTerminus:
     def _punt_batch(
         self, punts: list[tuple[ILPHeader, ILPPacket]]
     ) -> list[Optional[Verdict]]:
-        """Punt a cold span's leads across the boundary in one round trip.
+        """Punt packets across the service boundary in one round trip.
 
-        Accounting matches :meth:`_punt` per lead — one punt each, missing
-        services count as no-service drops, failed ones as service drops —
-        but the invocation cost is amortized: one
-        :meth:`~repro.core.ipc.CostModel.batch_invocation_latency` for the
-        whole batch (the span's single marshal round trip, plus one
-        enclave crossing pair per enclave-hosted service group) and
-        ``service_packet`` per invoked lead. The shared crossing is always
-        billed once the batch is sent; with
-        ``bill_failed_invocations=False`` only the failed leads' service
-        CPU is waived. A single eligible lead takes the scalar
-        :meth:`~repro.core.ipc.InvocationChannel.invoke` path so its byte
-        accounting matches per-packet processing exactly.
+        The only crossing: a cold span's leads, a lone lead and a barrier
+        all come through here. Per punt: an open breaker short-circuits a
+        data packet to its degradation mode without crossing — the
+        struggling service never sees it and no invocation latency is
+        billed, so healthy services on this SN keep their goodput;
+        barriers (CONTROL/LAST) are exempt, because teardown must reach
+        the service (or fail closed in :meth:`_degrade`), never be
+        short-cut into a forward or a stale replay. Otherwise the punt is
+        counted, and a missing service is a no-service drop.
+
+        The eligible punts cross in one
+        :meth:`~repro.core.ipc.InvocationChannel.invoke_batch`, billed as
+        one :meth:`~repro.core.ipc.CostModel.batch_invocation_latency`
+        (the single marshal round trip, plus one enclave crossing pair
+        per enclave-hosted service group) plus ``service_packet`` per
+        punt that burned service CPU. A failed punt still crossed the
+        boundary and burned that CPU, so it bills like a successful one;
+        a timed-out punt (``PuntTimeout`` slot from the execution
+        environment) bills its full deadline instead — the wait *is* the
+        overload cost the breaker then removes. Failures and timeouts
+        feed the service's breaker and resolve through :meth:`_degrade`
+        when a policy is set, as by-service drops otherwise.
 
         Returns one entry per punt, in order (``None`` = no service,
         service error, timeout, or circuit short-circuit — in every case
-        the punt installed nothing, so the caller's followers replay
-        per-packet exactly as the scalar path would). Verdicts are **not**
-        applied here — the caller applies them in span order.
-
-        Overload handling mirrors the scalar path per lead: an open
-        breaker short-circuits the lead to its degradation mode before the
-        punt is even counted; a timed-out lead (``PuntTimeout`` slot from
-        the execution environment) bills its deadline as latency, feeds
-        its breaker, and degrades. The batch consumes one admission token
-        per *span* rather than per packet — the same liberty the sharding
-        stage takes with cross-flow order.
+        the punt installed nothing, so parked followers replay). Verdicts
+        are **not** applied here — the caller applies them in order.
         """
+        # Everything decided so far leaves with the delay accumulated so
+        # far, ahead of whatever the services emit.
+        self._flush_gather()
         stats = self.stats
         env = self.env
         cost = self.cost_model
@@ -1280,11 +897,11 @@ class PipeTerminus:
         eligible: list[int] = []
         deadlines: list[Optional[float]] = []
         enclave_services: set[int] = set()
-        has_policies = bool(guard.policies)
-        now = self._clock() if has_policies else 0.0
-        for i, (header, _packet) in enumerate(punts):
+        policies = guard.policies
+        now = self._clock() if policies else 0.0
+        for i, (header, packet) in enumerate(punts):
             service_id = header.service_id
-            policy = guard.policies.get(service_id) if has_policies else None
+            policy = policies.get(service_id) if policies else None
             if (
                 policy is not None
                 and not header.flags & Flags.SLOW_PATH
@@ -1298,7 +915,7 @@ class PipeTerminus:
                     recorder.event(
                         "overload.short_circuit", service=service_id, n=1
                     )
-                self._degrade(policy, header, punts[i][1])
+                self._degrade(policy, header, packet)
                 continue
             stats.punts += 1
             if not env.has_service(service_id):
@@ -1314,109 +931,109 @@ class PipeTerminus:
                 enclave_services.add(service_id)
         if not eligible:
             return results
-        if len(eligible) == 1:
-            i = eligible[0]
-            header, packet = punts[i]
-            policy = (
-                guard.policies.get(header.service_id) if has_policies else None
-            )
-            results[i] = self._invoke_one(header, packet, policy, now)
-            return results
-        batch = [punts[i] for i in eligible]
         has_faults = env.has_faults
-        if has_faults:
-            # Deadlines ride the marshal only when a fault could trip them,
-            # so the fault-free wire format (and byte accounting) is
-            # unchanged.
-            verdicts = self.channel.invoke_batch(
-                env.dispatch_batch, batch, deadlines=deadlines
-            )
-        else:
-            verdicts = self.channel.invoke_batch(env.dispatch_batch, batch)
-        failed = 0
-        timed_out = 0
+        # Deadlines ride the marshal only when a fault could trip them, so
+        # the fault-free wire format (and byte accounting) is unchanged.
+        verdicts = self.channel.invoke_batch(
+            env.dispatch_batch,
+            [punts[i] for i in eligible],
+            deadlines if has_faults else None,
+        )
+        crossing = cost.batch_invocation_latency(
+            self.channel.mode, len(enclave_services)
+        )
+        # Per-punt view of the amortized crossing: every punt that crossed
+        # carries an equal share of the round trip.
+        share = crossing / len(eligible)
+        billed = 0
         extra = 0.0
         for pos, (i, verdict) in enumerate(zip(eligible, verdicts)):
-            header = punts[i][0]
+            header, packet = punts[i]
             service_id = header.service_id
-            policy = guard.policies.get(service_id) if has_policies else None
+            policy = policies.get(service_id) if policies else None
             breaker = (
                 guard.breakers.get(service_id) if policy is not None else None
             )
             if isinstance(verdict, PuntTimeout):
-                timed_out += 1
                 guard.stats.deadline_misses += 1
-                if breaker is not None and breaker.record_timeout(now):
-                    if obs is not None:
-                        obs.breaker_trips.inc()
-                    if recorder.recording:
-                        recorder.event(
-                            "overload.breaker_open", service=service_id
-                        )
+                tripped = breaker is not None and breaker.record_timeout(now)
                 waited = deadlines[pos] or 0.0
                 self.pending_delay += waited
                 if obs is not None:
                     obs.deadline_misses.inc()
-                    if waited:
-                        obs.punt_latency.record(waited)
+                    obs.punt_latency.record(share + waited)
                 if recorder.recording:
                     recorder.event(
                         "overload.timeout", service=service_id, n=1
                     )
-                if policy is not None:
-                    self._degrade(policy, header, punts[i][1])
-                else:
-                    stats.drops_by_service += 1
+            elif verdict is not None:
+                billed += 1
+                if breaker is not None:
+                    breaker.record_success(now)
+                if has_faults:
+                    # A slowed-but-within-deadline service bills its slowdown.
+                    extra += env.fault_latency(service_id)
+                results[i] = verdict
                 continue
-            if verdict is None:
-                failed += 1
-                if breaker is not None and breaker.record_error(now):
-                    if obs is not None:
-                        obs.breaker_trips.inc()
-                    if recorder.recording:
-                        recorder.event(
-                            "overload.breaker_open", service=service_id
-                        )
-                if policy is not None:
-                    self._degrade(policy, header, punts[i][1])
-                else:
-                    stats.drops_by_service += 1
-                continue
-            if breaker is not None:
-                breaker.record_success(now)
-            if has_faults:
-                # Slowed-but-within-deadline services bill their slowdown.
-                extra += env.fault_latency(service_id)
-            results[i] = verdict
-        # Timed-out leads billed their own deadline above and never burned
-        # service CPU; failed ones did (unless the fail-fast policy waives
-        # it). The shared crossing is always billed once the batch is sent.
-        billed = len(eligible) - timed_out
-        if not cost.bill_failed_invocations:
-            billed -= failed
-        crossing = cost.batch_invocation_latency(
-            self.channel.mode, len(enclave_services)
-        )
+            else:
+                billed += 1
+                tripped = breaker is not None and breaker.record_error(now)
+            if tripped:
+                if obs is not None:
+                    obs.breaker_trips.inc()
+                if recorder.recording:
+                    recorder.event("overload.breaker_open", service=service_id)
+            if policy is not None:
+                self._degrade(policy, header, packet)
+            else:
+                stats.drops_by_service += 1
         self.pending_delay += crossing + cost.service_packet * billed + extra
         if obs is not None and billed:
-            # Per-lead view of the amortized crossing: each billed punt
-            # carries its share of the batch round trip plus its own CPU.
-            obs.punt_latency.record_many(
-                crossing / billed + cost.service_packet, billed
-            )
+            obs.punt_latency.record_many(share + cost.service_packet, billed)
         return results
 
-    def apply_verdict(self, verdict: Verdict) -> None:
-        """Install cache entries and transmit a verdict's emitted packets."""
-        now = self._clock()
+    def _apply_verdict(self, verdict: Verdict, now: float) -> None:
+        """Install a verdict's cache entries and queue its emits."""
         if verdict.installs:
             self.cache.install_many(verdict.installs, now=now)
         if verdict.dropped:
             self.stats.drops_by_service += 1
         for emit in verdict.emits:
-            self.send(emit.peer, emit.header, emit.payload)
+            self._gather_add(
+                emit.peer,
+                emit.header.encode(),
+                emit.header.get_str(TLV.SRC_HOST),
+                [emit.payload],
+            )
+
+    def apply_verdict(self, verdict: Verdict) -> None:
+        """Install cache entries and transmit a verdict's emitted packets."""
+        self._apply_verdict(verdict, self._clock())
+        self._flush_gather()
 
     # -- egress ----------------------------------------------------------
+    def _gather_add(
+        self,
+        peer: str,
+        encoded: bytes,
+        qos_src: Optional[str],
+        payloads: list[Payload],
+    ) -> None:
+        """Queue payloads sharing one header wire form toward ``peer``."""
+        items = self._gather.get(peer)
+        if items is None:
+            self._gather[peer] = [(encoded, qos_src, payloads)]
+        else:
+            items.append((encoded, qos_src, payloads))
+
+    def _flush_gather(self) -> None:
+        """Transmit everything queued, one :meth:`send_gather` per next hop."""
+        gather = self._gather
+        if gather:
+            self._gather = {}
+            for peer, items in gather.items():
+                self.send_gather(peer, items)
+
     def send(
         self,
         peer: str,
@@ -1424,45 +1041,18 @@ class PipeTerminus:
         payload: Payload,
         *,
         encoded: Optional[bytes] = None,
-        qos_src=_QOS_UNSET,
     ) -> bool:
-        """Seal a header for ``peer`` and transmit the packet to it.
+        """Seal ``header`` for ``peer`` and transmit one packet to it.
 
-        ``encoded`` lets a caller that already holds the header's wire form
-        (e.g. :meth:`_apply_decision` fanning one header out to N targets)
-        skip re-encoding; it must equal ``header.encode()``. ``qos_src``
-        likewise lets the caller pass a precomputed SRC_HOST extraction
-        (``None`` is a valid precomputed value — "no SRC_HOST TLV").
+        A gather of one. ``encoded`` lets a caller that already holds the
+        header's wire form skip re-encoding; it must equal
+        ``header.encode()``.
         """
-        ctx = self.keystore.contexts.get(peer)
-        if ctx is None:
-            self.stats.drops_no_peer += 1
-            return False
-        wire_plain = header.encode() if encoded is None else encoded
+        wire = header.encode() if encoded is None else encoded
         if _san.ENABLED:
-            _san_check_header_wire(header, wire_plain)
-        wire = ctx.seal(wire_plain)
-        recorder = self.recorder
-        if recorder.recording:
-            recorder.event("terminus.seal", peer=peer, n=1)
-        out = ILPPacket(
-            l3=L3Header(src=self.node_address, dst=peer),
-            ilp_wire=wire,
-            payload=payload,
-            created_at=self._clock(),
-            qos_src=header.get_str(TLV.SRC_HOST)
-            if qos_src is _QOS_UNSET
-            else qos_src,
-        )
-        sent = self._transmit(peer, out)
-        if sent:
-            self.stats.packets_out += 1
-            if recorder.recording:
-                recorder.event("terminus.send", peer=peer, n=1)
-            obs = self.obs
-            if obs is not None:
-                obs.terminus_latency.record(self.pending_delay)
-        return sent
+            _san_check_header_wire(header, wire)
+        qos_src = header.get_str(TLV.SRC_HOST)
+        return self.send_gather(peer, [(wire, qos_src, [payload])]) == 1
 
     def send_run(
         self,
@@ -1471,96 +1061,50 @@ class PipeTerminus:
         qos_src: Optional[str],
         run: list[ILPPacket],
     ) -> int:
-        """Seal one header wire form over a run's packets and transmit.
+        """Seal one header wire form over a run's packets and transmit."""
+        return self.send_gather(
+            peer, [(encoded, qos_src, [p.payload for p in run])]
+        )
 
-        The run egress: one keystore probe, one
-        :meth:`~repro.core.psp.PSPContext.seal_run` (schedule and framing
-        hoisted), one outer L3 header shared by every copy (it is frozen),
-        one clock read. Wire bytes equal per-packet :meth:`send` calls in
-        the same order.
+    def send_gather(self, peer: str, items: list[_GatherItem]) -> int:
+        """Seal and transmit several flows' packets bound for one next hop.
+
+        The egress — the only place a header is sealed and an outgoing
+        packet built. ``items`` is ``[(encoded, qos_src, payloads), ...]``
+        in emission order: one keystore probe, one
+        :meth:`~repro.core.psp.PSPContext.seal_gather` with the key
+        schedule hoisted across every item, one outer L3 header (it is
+        frozen, so every copy shares it), one clock read. Nonces advance
+        exactly as they would sealing packet by packet in the same order.
 
         Returns the number of packets transmitted.
         """
         ctx = self.keystore.contexts.get(peer)
         stats = self.stats
         if ctx is None:
-            stats.drops_no_peer += len(run)
+            stats.drops_no_peer += sum(len(item[2]) for item in items)
             return 0
         if _san.ENABLED:
-            # One check per run: the run shares a single wire form.
-            _san_check_header_wire(ILPHeader.decode(encoded), encoded)
-        wires = ctx.seal_run(encoded, len(run))
-        recorder = self.recorder
-        if recorder.recording:
-            recorder.event("terminus.seal", peer=peer, n=len(run))
-        l3 = L3Header(src=self.node_address, dst=peer)
-        created = self._clock()
-        transmit = self._transmit
-        sent = 0
-        for packet, wire in zip(run, wires):
-            out = ILPPacket(
-                l3=l3,
-                ilp_wire=wire,
-                payload=packet.payload,
-                created_at=created,
-                qos_src=qos_src,
-            )
-            if transmit(peer, out):
-                sent += 1
-        stats.packets_out += sent
-        if sent:
-            if recorder.recording:
-                recorder.event("terminus.send", peer=peer, n=sent)
-            obs = self.obs
-            if obs is not None:
-                obs.terminus_latency.record_many(self.pending_delay, sent)
-        return sent
-
-    def send_gather(
-        self,
-        peer: str,
-        items: list[tuple[bytes, Optional[str], list[ILPPacket]]],
-        *,
-        ctx: Optional[PSPContext] = None,
-    ) -> int:
-        """Seal several flow groups bound for one next hop in one gather.
-
-        ``items`` is ``[(encoded, qos_src, run), ...]`` in emission order.
-        The scatter-gather egress: one keystore probe (or a prefetched
-        ``ctx``), one :meth:`~repro.core.psp.PSPContext.seal_gather` with
-        the key schedule hoisted across every group, one outer L3 header,
-        one clock read. Per group the wire bytes equal a :meth:`send_run`
-        call in the same position of the egress context's nonce sequence.
-
-        Returns the number of packets transmitted.
-        """
-        if ctx is None:
-            ctx = self.keystore.contexts.get(peer)
-        stats = self.stats
-        if ctx is None:
-            stats.drops_no_peer += sum(len(run) for _, _, run in items)
-            return 0
-        if _san.ENABLED:
-            # One check per group: each group shares a single wire form.
-            for encoded, _qos, _run in items:
+            # One check per item: its payloads share a single wire form.
+            for encoded, _qos, _payloads in items:
                 _san_check_header_wire(ILPHeader.decode(encoded), encoded)
         wires = ctx.seal_gather(
-            [(encoded, len(run)) for encoded, _qos, run in items]
+            [(encoded, len(payloads)) for encoded, _qos, payloads in items]
         )
         recorder = self.recorder
         if recorder.recording:
             recorder.event("terminus.seal", peer=peer, n=len(wires))
-        l3 = L3Header(src=self.node_address, dst=peer)
+        l3 = _outer_l3(self.node_address, peer)
         created = self._clock()
         transmit = self._transmit
         sent = 0
         w = 0
-        for _encoded, qos_src, run in items:
-            for packet in run:
+        for _encoded, qos_src, payloads in items:
+            for payload in payloads:
                 out = ILPPacket(
                     l3=l3,
                     ilp_wire=wires[w],
-                    payload=packet.payload,
+                    payload=payload,
                     created_at=created,
                     qos_src=qos_src,
                 )

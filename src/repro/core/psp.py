@@ -153,76 +153,35 @@ class PSPContext:
         return bytes(out)
 
     def seal_batch(self, plaintexts, aad: bytes = b"") -> list[bytes]:
-        """Seal many plaintexts back-to-back.
-
-        Equivalent to ``[self.seal(pt, aad) for pt in plaintexts]`` — same
-        bytes, same nonce sequence — with the schedule/prefix lookups and
-        stats updates hoisted out of the loop.
-        """
-        seal_into = self._seal_key.seal_into
-        prefix = self._prefix
-        nonce_next = self._nonce.next
-        san_check = self._san_check_nonce if _san.ENABLED else None
-        out: list[bytes] = []
-        append = out.append
-        total = 0
-        for plaintext in plaintexts:
-            nonce = nonce_next()
-            if san_check is not None:
-                san_check(nonce)
-            buf = bytearray(prefix)
-            buf += nonce
-            seal_into(buf, nonce, plaintext, aad)
-            append(bytes(buf))
-            total += len(plaintext)
-        stats = self.stats
-        stats.packets_sealed += len(out)
-        stats.bytes_sealed += total
-        return out
+        """Seal many plaintexts back-to-back: a gather of runs of one."""
+        return self.seal_gather([(plaintext, 1) for plaintext in plaintexts], aad)
 
     def seal_run(self, plaintext: bytes, count: int, aad: bytes = b"") -> list[bytes]:
-        """Seal the *same* plaintext ``count`` times (a flow run's egress).
-
-        Byte-identical to ``count`` consecutive :meth:`seal` calls: nonces
-        advance exactly as they would per packet. The run shape lets
-        :meth:`crypto.SealingKey.seal_frames` hoist everything that does not
-        depend on the nonce out of the per-packet loop.
-        """
-        nonces = self._nonce.take(count)
-        if _san.ENABLED:
-            for nonce in nonces:
-                self._san_check_nonce(nonce)
-        frames = self._seal_key.seal_frames(self._prefix, nonces, plaintext, aad)
-        stats = self.stats
-        stats.packets_sealed += count
-        stats.bytes_sealed += count * len(plaintext)
-        return frames
+        """Seal the *same* plaintext ``count`` times: a gather of one run."""
+        return self.seal_gather([(plaintext, count)], aad)
 
     def seal_gather(
         self, items: list[tuple[bytes, int]], aad: bytes = b""
     ) -> list[bytes]:
         """Seal several ``(plaintext, count)`` runs back-to-back, flat.
 
-        The scatter-gather egress entry point: one nonce reservation, one
+        The terminus egress entry point: one nonce reservation, one
         :meth:`crypto.SealingKey.seal_scatter` pass, and one stats update
-        cover every run. Byte-identical to calling :meth:`seal_run` per
-        item in order — nonces advance exactly as they would per packet —
-        so regrouping a burst's egress by next hop never changes what any
-        single flow puts on the wire.
+        cover every run. Byte-identical to ``count`` consecutive
+        :meth:`seal` calls per item in order — nonces advance exactly as
+        they would per packet — so regrouping a burst's egress by next hop
+        never changes what any single flow puts on the wire.
         """
-        total = sum(count for _, count in items)
+        total = 0
+        total_bytes = 0
+        for plaintext, count in items:
+            total += count
+            total_bytes += count * len(plaintext)
         nonces = self._nonce.take(total)
         if _san.ENABLED:
             for nonce in nonces:
                 self._san_check_nonce(nonce)
-        runs: list[tuple[list[bytes], bytes]] = []
-        offset = 0
-        total_bytes = 0
-        for plaintext, count in items:
-            runs.append((nonces[offset : offset + count], plaintext))
-            offset += count
-            total_bytes += count * len(plaintext)
-        frames = self._seal_key.seal_scatter(self._prefix, runs, aad)
+        frames = self._seal_key.seal_scatter(self._prefix, nonces, items, aad)
         stats = self.stats
         stats.packets_sealed += total
         stats.bytes_sealed += total_bytes
@@ -324,25 +283,6 @@ class PeerKeyStore:
 
     def has(self, peer: str) -> bool:
         return peer in self.contexts
-
-    def prefetch(self, peers: "set[str] | list[str]") -> dict[str, PSPContext]:
-        """Resolve the contexts for a burst's distinct peers in one pass.
-
-        The sharding stage calls this once per delivery event with the
-        distinct next hops it is about to seal toward; touching each
-        context's :attr:`~PSPContext.seal_schedule` here pulls the active
-        epoch's key schedule into the working set before the egress loop
-        runs. Unknown peers are simply absent from the result (the caller
-        counts the drop), mirroring a failed table probe.
-        """
-        contexts = self.contexts
-        out: dict[str, PSPContext] = {}
-        for peer in peers:
-            ctx = contexts.get(peer)
-            if ctx is not None:
-                _ = ctx.seal_schedule
-                out[peer] = ctx
-        return out
 
     def remove(self, peer: str) -> None:
         self.contexts.pop(peer, None)

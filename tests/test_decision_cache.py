@@ -255,21 +255,23 @@ class TestConnectionIndex:
 class TestLookupMany:
     """Batched multi-key queries (the sharding stage's lookup pass)."""
 
-    def test_scalar_mode_matches_individual_lookups(self):
+    def test_counts_of_one_match_individual_lookups_on_hits(self):
         batched, scalar = DecisionCache(), DecisionCache()
         for cache in (batched, scalar):
             cache.install(key(1), Decision.drop())
             cache.install(key(2), Decision.forward("10.0.0.9"))
-        keys = [key(1), key(3), key(2), key(1)]
-        results = batched.lookup_many(keys, now=7.0)
+        keys = [key(1), key(2), key(1)]
+        results = batched.lookup_many(keys, [1, 1, 1], now=7.0)
         expected = [scalar.lookup(k, now=7.0) for k in keys]
         assert results == expected
         assert batched.stats == scalar.stats
         assert batched.snapshot_entries() == scalar.snapshot_entries()
 
     def test_counts_mode_matches_lookup_run(self):
-        batched, runs = DecisionCache(), DecisionCache()
-        for cache in (batched, runs):
+        """A hit for ``count`` packets books exactly ``count`` scalar
+        lookups; ``lookup_run`` is the one-key spelling of the same probe."""
+        batched, runs, scalar = DecisionCache(), DecisionCache(), DecisionCache()
+        for cache in (batched, runs, scalar):
             cache.install(key(1), Decision.drop())
             cache.install(key(2), Decision.forward("10.0.0.9"))
         keys = [key(1), key(3), key(2)]
@@ -279,6 +281,12 @@ class TestLookupMany:
         assert results == expected
         assert batched.stats == runs.stats
         assert batched.snapshot_entries() == runs.snapshot_entries()
+        for k, c in zip(keys, counts):
+            if k in scalar:  # a miss charges nothing in counts mode
+                for _ in range(c):
+                    scalar.lookup(k, now=3.0)
+        assert batched.stats == scalar.stats
+        assert batched.snapshot_entries() == scalar.snapshot_entries()
 
     def test_counts_mode_miss_charges_nothing(self):
         cache = DecisionCache()
@@ -305,7 +313,6 @@ class TestLookupMany:
 
     def test_empty_batch(self):
         cache = DecisionCache()
-        assert cache.lookup_many([]) == []
         assert cache.lookup_many([], []) == []
         assert cache.stats.lookups == 0
 
@@ -327,7 +334,7 @@ class TestLookupManyIndexCoherence:
             cache.install(key(i), Decision.drop())
             cache.lookup_many([key(i), key(i - 5), key(i + 1)], [2, 1, 1])
         cache.invalidate(key(39))
-        cache.lookup_many([key(39), key(38)])
+        cache.lookup_many([key(39), key(38)], [1, 1])
         cache.invalidate_connection(1, 38)
         cache.lookup_many([key(38)], [4])
         cache.check_index_coherence()

@@ -314,9 +314,12 @@ class TestCostModel:
             pytest.approx(base + 3 * 2 * cost.enclave_io)
         )
 
-    def test_failed_invocation_billing_is_explicit(self):
-        assert CostModel().bill_failed_invocations is True
-        assert CostModel(bill_failed_invocations=False).bill_failed_invocations is False
+    def test_failed_invocations_always_bill(self):
+        """The ``bill_failed_invocations`` knob is gone: a failed punt
+        crossed the boundary and always bills (behaviour pinned in
+        tests/test_overload.py::TestOneBillingRule)."""
+        with pytest.raises(TypeError):
+            CostModel(bill_failed_invocations=False)
 
     def test_table1_shape(self):
         """The defaults reproduce Table 1's ratios."""

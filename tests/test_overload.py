@@ -353,16 +353,18 @@ class _PuntRig:
             self.node.keystore.establish(peer, pairwise_secret(SN_ADDR, peer))
         self.node.env.load(service or _ForwardingService())
 
-    def inject(self, conn: int = 1, flags: Flags = Flags.NONE) -> None:
+    def packet(self, conn: int = 1, flags: Flags = Flags.NONE) -> ILPPacket:
         header = ILPHeader(
             service_id=VICTIM, connection_id=conn, flags=flags
         )
-        packet = ILPPacket(
+        return ILPPacket(
             l3=L3Header(src=PEER, dst=SN_ADDR),
             ilp_wire=self.tx.seal(header.encode()),
             payload=make_payload(b"z" * 8),
         )
-        self.terminus.receive(packet)
+
+    def inject(self, conn: int = 1, flags: Flags = Flags.NONE) -> None:
+        self.terminus.receive(self.packet(conn, flags))
 
 
 class TestTerminusOverload:
@@ -568,6 +570,71 @@ class TestTerminusOverload:
         assert rig.terminus.overload.breakers[VICTIM].state is BreakerState.CLOSED
         assert cache.stale_count == 0
         assert VICTIM in rig.terminus.overload.policies
+
+
+class TestOneBillingRule:
+    """Billing and shedding are single-sited: one packet and one burst of
+    the same packets account the same way."""
+
+    def _burst(self, rig: _PuntRig, conns) -> None:
+        rig.terminus.receive_batch([rig.packet(conn) for conn in conns])
+
+    def test_failed_punt_bills_like_a_successful_one(self):
+        rig = _PuntRig(_ErroringService())
+        obs = rig.node.enable_observability()
+        rig.inject()
+        cost = rig.terminus.cost_model
+        billed = (
+            cost.batch_invocation_latency(rig.terminus.channel.mode, 0)
+            + cost.service_packet
+        )
+        assert rig.terminus.stats.drops_by_service == 1
+        assert rig.terminus.pending_delay == pytest.approx(
+            cost.terminus_latency + billed
+        )
+        assert obs.punt_latency.count == 1
+        assert obs.punt_latency.total == pytest.approx(billed)
+
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_timed_out_punt_sample_is_crossing_share_plus_deadline(self, burst):
+        rig = _PuntRig()
+        obs = rig.node.enable_observability()
+        rig.node.env.inject_hang(VICTIM)
+        rig.node.set_service_policy(VICTIM, ServicePolicy(deadline=1e-3))
+        if burst:
+            self._burst(rig, [1, 2])
+        else:
+            rig.inject(conn=1)
+            rig.inject(conn=2)
+        cost = rig.terminus.cost_model
+        crossing = cost.batch_invocation_latency(rig.terminus.channel.mode, 0)
+        # Two singleton crossings, or one crossing shared by two leads:
+        # either way every sample is its crossing share plus the deadline.
+        crossings = 1 if burst else 2
+        assert obs.punt_latency.count == 2
+        assert obs.punt_latency.total == pytest.approx(
+            crossings * crossing + 2 * 1e-3
+        )
+        assert obs.punt_latency.max == pytest.approx(
+            crossing / (2 if burst else 1) + 1e-3
+        )
+        assert rig.terminus.overload.stats.deadline_misses == 2
+
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_every_shed_group_counts_singletons_included(self, burst):
+        rig = _PuntRig()
+        rig.node.enable_admission_control(
+            AdmissionConfig(max_parked=64, punt_rate=1.0, punt_burst=1)
+        )
+        if burst:
+            self._burst(rig, [1, 2, 3])
+        else:
+            for conn in (1, 2, 3):
+                rig.inject(conn=conn)
+        guard = rig.terminus.overload
+        assert guard.stats.shed_packets == 2
+        assert guard.stats.shed_groups == 2
+        assert rig.terminus.stats.drops_shed == 2
 
 
 # -- monitoring regression (mirrors TestSnapshotDropAccounting) ----------

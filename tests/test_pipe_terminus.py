@@ -272,6 +272,49 @@ class TestBatchIngress:
         assert fx.terminus.stats.packets_in == 0
 
 
+class TestFanoutObservability:
+    """Regression: the batched multi-target fan-out used to seal in a
+    private loop that skipped the latency sketch, the flight recorder and
+    the armed header check. Fan-out now leaves through the one egress."""
+
+    N = 5
+
+    def _rig(self):
+        fx = _Fixture()
+        obs = fx.node.enable_observability(capacity=4096)
+        fx.terminus.cache.install(
+            CacheKey(PEER_A, 42, 7),
+            Decision(
+                action=Action.FORWARD,
+                targets=(
+                    ForwardTarget(PEER_B),
+                    ForwardTarget(
+                        PEER_A, tlv_updates=((TLV.DEST_SN, b"10.0.9.9"),)
+                    ),
+                ),
+            ),
+        )
+        return fx, obs
+
+    @pytest.mark.parametrize("burst", [False, True])
+    def test_fanout_packets_reach_sketch_and_recorder(self, burst):
+        fx, obs = self._rig()
+        packets = [fx.packet() for _ in range(self.N)]
+        if burst:
+            fx.terminus.receive_batch(packets)
+        else:
+            for packet in packets:
+                fx.terminus.receive(packet)
+        assert len(fx.sent) == 2 * self.N
+        assert obs.terminus_latency.count == 2 * self.N
+        for name in ("terminus.seal", "terminus.send"):
+            events = obs.recorder.spans(name=name)
+            assert sum(e.attrs["n"] for e in events) == 2 * self.N
+        # Packet-major per next hop: each egress association saw the
+        # flow's packets in arrival order.
+        assert [peer for peer, _ in fx.sent] == [PEER_B, PEER_A] * self.N
+
+
 def _installing_verdict(header, packet):
     verdict = Verdict.forward(PEER_B, header, packet.payload)
     verdict.installs.append(

@@ -1,0 +1,218 @@
+"""Conformance: the production terminus against the Figure-2 oracle.
+
+One test body, parametrised (SNIPPETS.md #1 style) over invocation mode ×
+observability arm × delivery shape × scenario. Each case feeds the same
+packet sequence to a real :class:`~repro.core.service_node.ServiceNode`
+terminus — as one burst, or as bursts of one — and, one packet at a time,
+to :class:`tests.reference.terminus_model.ReferenceTerminus`, an
+independent transcription of Figure 2 that shares no code with
+``pipe_terminus``. They must agree on every flow's egress projection
+(next hop, header plaintext, payload, ``qos_src``, in order) and on the
+``TerminusStats`` / ``CacheStats`` counters the figure defines.
+"""
+
+from __future__ import annotations
+
+from dataclasses import asdict, dataclass, field
+from typing import Callable, Optional
+
+import pytest
+
+from repro.core.decision_cache import Action, CacheKey, Decision, ForwardTarget
+from repro.core.ilp import Flags, ILPHeader, TLV
+from repro.core.ipc import InvocationMode
+from repro.core.offload import ActionKind, Match, MatchField, OffloadAction
+from repro.core.packet import ILPPacket, L3Header, make_payload
+from repro.core.psp import PSPContext, pairwise_secret
+from repro.core.service_node import ServiceNode
+from repro.netsim import Simulator
+from tests.property.test_terminus_batch_equivalence import (
+    MISSING_SERVICE,  # neither module nor offload program
+    OFFLOAD_SERVICE,  # offload rules, no module
+    PEER_A,
+    PEER_B,
+    SN_ADDR,
+    UNKNOWN_PEER,
+    _DeterministicService as _Service,  # verdict = f(conn % 4), see there
+)
+from tests.reference.terminus_model import ReferenceTerminus, per_flow
+
+PEERS = (PEER_A, PEER_B)
+SERVICE = _Service.SERVICE_ID
+
+#: What ``_Service`` installs for ``conn % 4 == 3``.
+FANOUT = Decision(
+    action=Action.FORWARD,
+    targets=(
+        ForwardTarget(PEER_B),
+        ForwardTarget(PEER_A, tlv_updates=((TLV.DEST_SN, b"10.0.9.9"),)),
+    ),
+)
+
+
+def _ingress(conn: int) -> str:
+    """Ingress peer by conn parity, so (next hop, plaintext) names a flow."""
+    return PEER_A if conn % 2 == 0 else PEER_B
+
+
+@dataclass(frozen=True)
+class _Spec:
+    conn: int
+    kind: str = "data"  # data | control | last | badauth | malformed | unknown_peer
+    service_id: int = SERVICE
+    payload: bytes = b"y" * 8
+    src_host: bool = True
+
+
+@dataclass(frozen=True)
+class _Scenario:
+    name: str
+    specs: tuple[_Spec, ...]
+    installs: tuple[tuple[int, Decision], ...] = field(default=())
+
+
+def _runs(conns, depth, **kw) -> tuple[_Spec, ...]:
+    return tuple(_Spec(conn, **kw) for conn in conns for _ in range(depth))
+
+
+def _round_robin(conns, depth, **kw) -> tuple[_Spec, ...]:
+    return tuple(_Spec(conn, **kw) for _ in range(depth) for conn in conns)
+
+
+_WARM = tuple((conn, Decision.forward(PEER_B)) for conn in range(4))
+
+SCENARIOS = (
+    _Scenario("warm_flow_local", _runs(range(4), 4), _WARM),
+    _Scenario("fully_interleaved", _round_robin(range(4), 4), _WARM),
+    _Scenario("cold_storm", _round_robin(range(8), 3)),
+    _Scenario(
+        "barrier_mid_burst",
+        _runs([1], 2)
+        + (_Spec(1, "control"),)
+        + _runs([5], 2)
+        + (_Spec(5, "last"),)
+        + _round_robin([5, 1], 2),
+        ((1, Decision.forward(PEER_B)),),
+    ),
+    _Scenario(
+        "offload_programmed",
+        _round_robin([0, 1], 2, service_id=OFFLOAD_SERVICE, payload=b"y" * 40)
+        + _runs([2], 2, service_id=OFFLOAD_SERVICE)  # short: falls to the punt
+        + _runs([1], 3),
+    ),
+    _Scenario(
+        "fanout_with_rewrite",
+        _round_robin([3, 0], 4) + _runs([7], 3),  # conn 7 installs FANOUT cold
+        ((3, FANOUT), (0, Decision.forward(PEER_B))),
+    ),
+    _Scenario(
+        "missing_service",
+        _round_robin([0, 1], 3, service_id=MISSING_SERVICE) + _runs([0], 2),
+        ((0, Decision.forward(PEER_B)),),
+    ),
+    _Scenario(
+        "bad_input",
+        (
+            _Spec(0),
+            _Spec(0, "badauth"),
+            _Spec(0),
+            _Spec(1, "malformed"),
+            _Spec(1, "unknown_peer"),
+            _Spec(1),
+            _Spec(1, "badauth"),
+            _Spec(1),
+        ),
+        _WARM,
+    ),
+)
+
+OBS_ARMS: dict[str, Optional[int]] = {"obs_off": None, "quiet": 0, "sampled": 3}
+
+
+def _program_offload(engine) -> None:
+    engine.install_rule(OFFLOAD_SERVICE, (), OffloadAction(ActionKind.COUNT, "seen"))
+    engine.install_rule(
+        OFFLOAD_SERVICE,
+        (Match(MatchField.PAYLOAD_LEN_GT, 12),),
+        OffloadAction(ActionKind.FORWARD, PEER_B),
+    )
+
+
+def _build(spec: _Spec, tx: dict[str, PSPContext]) -> ILPPacket:
+    flags = {"control": Flags.CONTROL, "last": Flags.LAST}.get(spec.kind, Flags.NONE)
+    header = ILPHeader(service_id=spec.service_id, connection_id=spec.conn, flags=flags)
+    if spec.src_host:
+        header.set_str(TLV.SRC_HOST, "192.168.0.12")
+    peer = _ingress(spec.conn)
+    wire = tx[peer].seal(b"\x01\x02" if spec.kind == "malformed" else header.encode())
+    if spec.kind == "badauth":
+        wire = wire[:-1] + bytes([wire[-1] ^ 0x01])
+    return ILPPacket(
+        l3=L3Header(src=UNKNOWN_PEER if spec.kind == "unknown_peer" else peer, dst=SN_ADDR),
+        ilp_wire=wire,
+        payload=make_payload(spec.payload),
+    )
+
+
+def _packets(scenario: _Scenario) -> list[ILPPacket]:
+    tx = {peer: PSPContext(pairwise_secret(SN_ADDR, peer)) for peer in PEERS}
+    return [_build(spec, tx) for spec in scenario.specs]
+
+
+def _production(scenario, mode, sample_every, deliver: Callable) -> tuple[dict, dict, dict]:
+    node = ServiceNode(Simulator(), "sn", SN_ADDR, invocation_mode=mode)
+    sent: list[tuple[str, ILPPacket]] = []
+    node.terminus.set_transmit(lambda peer, pkt: sent.append((peer, pkt)) or True)
+    for peer in PEERS:
+        node.keystore.establish(peer, pairwise_secret(SN_ADDR, peer))
+    node.env.load(_Service())
+    _program_offload(node.terminus.offload)
+    if sample_every is not None:
+        node.enable_observability(sample_every=sample_every, capacity=1024)
+    for conn, decision in scenario.installs:
+        node.cache.install(CacheKey(_ingress(conn), SERVICE, conn), decision)
+    deliver(node.terminus, _packets(scenario))
+    opener = {peer: PSPContext(pairwise_secret(SN_ADDR, peer)) for peer in PEERS}
+    out = [
+        (peer, opener[peer].open(pkt.ilp_wire), pkt.payload.data, pkt.qos_src)
+        for peer, pkt in sent
+    ]
+    return per_flow(out), asdict(node.terminus.stats), asdict(node.cache.stats)
+
+
+def _reference(scenario) -> ReferenceTerminus:
+    model = ReferenceTerminus(
+        {peer: pairwise_secret(SN_ADDR, peer) for peer in PEERS},
+        {SERVICE: _Service()},
+    )
+    _program_offload(model.offload)
+    for conn, decision in scenario.installs:
+        model.install((_ingress(conn), SERVICE, conn), decision)
+    for packet in _packets(scenario):
+        model.receive(packet)
+    return model
+
+
+def _one_burst(terminus, packets) -> None:
+    assert terminus.receive_batch(packets) == len(packets)
+
+
+def _bursts_of_one(terminus, packets) -> None:
+    for packet in packets:
+        terminus.receive(packet)
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS, ids=lambda s: s.name)
+@pytest.mark.parametrize("deliver", [_one_burst, _bursts_of_one], ids=lambda f: f.__name__[1:])
+@pytest.mark.parametrize("obs_arm", sorted(OBS_ARMS))
+@pytest.mark.parametrize("mode", list(InvocationMode), ids=lambda m: m.value)
+def test_production_terminus_conforms_to_figure_2(mode, obs_arm, deliver, scenario):
+    flows, stats, cache_stats = _production(scenario, mode, OBS_ARMS[obs_arm], deliver)
+    model = _reference(scenario)
+    assert flows == model.per_flow()
+    # Every TerminusStats field is a Figure-2 outcome the model counts
+    # (overload-only fields stay zero on both sides).
+    assert stats == {name: model.stats[name] for name in stats}
+    for name in ("lookups", "hits", "misses", "installs"):
+        assert cache_stats[name] == model.cache_stats[name], name
+    assert cache_stats["evictions"] == 0  # the oracle's table is unbounded
