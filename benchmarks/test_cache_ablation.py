@@ -51,7 +51,9 @@ def _make_rig(cache_capacity: int):
     sim = Simulator()
     node = ServiceNode(sim, "sn", SN_ADDR, cache_capacity=max(1, cache_capacity))
     delivered = []
-    node.terminus._transmit = lambda peer, pkt: (delivered.append(peer), True)[1]
+    node.terminus.set_transmit(
+        lambda peer, pkts: delivered.extend([peer] * len(pkts)) or len(pkts)
+    )
     secret = pairwise_secret(SN_ADDR, INGRESS)
     node.keystore.establish(INGRESS, secret)
     node.keystore.establish(EGRESS, pairwise_secret(SN_ADDR, EGRESS))

@@ -45,7 +45,7 @@ class _DropService(ServiceModule):
 def _rig(mode: str):
     sim = Simulator()
     node = ServiceNode(sim, "sn", SN_ADDR)
-    node.terminus._transmit = lambda peer, pkt: True
+    node.terminus.set_transmit(lambda peer, pkts: len(pkts))
     secret = pairwise_secret(SN_ADDR, ATTACKER)
     node.keystore.establish(ATTACKER, secret)
     node.env.load(_DropService())

@@ -89,7 +89,7 @@ class _Table1Rig:
         self.sim = Simulator()
         self.node = ServiceNode(self.sim, "sn", SN_ADDR)
         self.delivered = 0
-        self.node.terminus._transmit = self._sink
+        self.node.terminus.set_transmit(self._sink)
         secret_in = pairwise_secret(SN_ADDR, INGRESS)
         secret_out = pairwise_secret(SN_ADDR, EGRESS)
         self.node.keystore.establish(INGRESS, secret_in)
@@ -111,11 +111,12 @@ class _Table1Rig:
         self.service = service
         self.payload = make_payload(b"x" * 64)
 
-    def _sink(self, peer: str, packet: ILPPacket) -> bool:
+    def _sink(self, peer: str, packets: list[ILPPacket]) -> int:
         if self.enclave is not None:
-            self.enclave.tax(packet)  # egress crossing
-        self.delivered += 1
-        return True
+            for packet in packets:
+                self.enclave.tax(packet)  # egress crossing
+        self.delivered += len(packets)
+        return len(packets)
 
     def make_packet(self) -> ILPPacket:
         return ILPPacket(

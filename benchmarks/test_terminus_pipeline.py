@@ -70,11 +70,11 @@ def _make_rig():
     node = ServiceNode(sim, "sn", SN_ADDR)
     delivered = [0]
 
-    def sink(peer: str, packet: ILPPacket) -> bool:
-        delivered[0] += 1
-        return True
+    def sink(peer: str, packets: list[ILPPacket]) -> int:
+        delivered[0] += len(packets)
+        return len(packets)
 
-    node.terminus._transmit = sink
+    node.terminus.set_transmit(sink)
     secret_in = pairwise_secret(SN_ADDR, INGRESS)
     node.keystore.establish(INGRESS, secret_in)
     node.keystore.establish(EGRESS, pairwise_secret(SN_ADDR, EGRESS))
@@ -402,11 +402,11 @@ def _make_overload_rig():
     node = ServiceNode(sim, "sn", SN_ADDR)
     counts: dict[str, int] = {}
 
-    def sink(peer: str, packet: ILPPacket) -> bool:
-        counts[peer] = counts.get(peer, 0) + 1
-        return True
+    def sink(peer: str, packets: list[ILPPacket]) -> int:
+        counts[peer] = counts.get(peer, 0) + len(packets)
+        return len(packets)
 
-    node.terminus._transmit = sink
+    node.terminus.set_transmit(sink)
     secret_in = pairwise_secret(SN_ADDR, INGRESS)
     node.keystore.establish(INGRESS, secret_in)
     for peer in (EGRESS, VICTIM_EGRESS):

@@ -25,7 +25,7 @@ from ..netsim.engine import Simulator
 from ..netsim.link import Link
 from ..netsim.node import NetNode
 from .crypto import KeyPair
-from .ilp import Flags, ILPHeader, TLV, new_connection_id
+from .ilp import Flags, ILPError, ILPHeader, TLV, new_connection_id
 from .overload import RetryStats, retry_call
 from .packet import ILPPacket, L3Header, Payload, RawIPPacket, make_payload
 from .psp import PSPError, PeerKeyStore, pairwise_secret
@@ -313,7 +313,8 @@ class Host(NetNode):
             return
         try:
             header = ILPHeader.decode(self.keystore.get(peer).open(frame.ilp_wire))
-        except PSPError:
+        except (PSPError, ILPError):
+            # Unauthenticated, or authenticated but not a valid ILP header.
             self.undeliverable += 1
             return
         self._deliver(header, frame.payload)

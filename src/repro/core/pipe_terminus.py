@@ -44,7 +44,9 @@ burst of one. Stage by stage:
    offload forwards, degraded forwards — leaves through
    :meth:`send_gather`, the only place that seals a header
    (:meth:`~repro.core.psp.PSPContext.seal_gather`) and builds an outgoing
-   :class:`~repro.core.packet.ILPPacket`. Egress queues on a per-next-hop
+   :class:`~repro.core.packet.ILPPacket`, and hands a next hop's packets
+   to the transmit hook as one list in one call — a burst reaches the
+   link as a burst. Egress queues on a per-next-hop
    gather that is flushed before every boundary crossing and at the end
    of the burst, so a packet is transmitted with the processing delay
    accumulated when it was decided; multi-target fan-out flushes the
@@ -350,7 +352,7 @@ class PipeTerminus:
         keystore: PeerKeyStore,
         cache: DecisionCache,
         env: "ExecutionEnvironment",
-        transmit: Callable[[str, ILPPacket], bool],
+        transmit: Callable[[str, list[ILPPacket]], int],
         invocation_mode: InvocationMode = InvocationMode.IPC,
         clock: Optional[Callable[[], float]] = None,
         cost_model: Optional[CostModel] = None,
@@ -781,8 +783,12 @@ class PipeTerminus:
         self._egress(decision, header, [payload])
         self._flush_gather()
 
-    def set_transmit(self, transmit: Callable[[str, ILPPacket], bool]) -> None:
-        """Replace the transmit hook (tests, fault injection, rewiring)."""
+    def set_transmit(self, transmit: Callable[[str, list[ILPPacket]], int]) -> None:
+        """Replace the transmit hook (tests, fault injection, rewiring).
+
+        Called as ``transmit(peer, packets)`` once per next hop, packets in
+        emission order; returns how many it took and owns the list afterwards.
+        """
         self._transmit = transmit
 
     # -- slow path ----------------------------------------------------------
@@ -1096,21 +1102,19 @@ class PipeTerminus:
             recorder.event("terminus.seal", peer=peer, n=len(wires))
         l3 = _outer_l3(self.node_address, peer)
         created = self._clock()
-        transmit = self._transmit
-        sent = 0
-        w = 0
-        for _encoded, qos_src, payloads in items:
-            for payload in payloads:
-                out = ILPPacket(
-                    l3=l3,
-                    ilp_wire=wires[w],
-                    payload=payload,
-                    created_at=created,
-                    qos_src=qos_src,
-                )
-                w += 1
-                if transmit(peer, out):
-                    sent += 1
+        wire = iter(wires)
+        out = [
+            ILPPacket(
+                l3=l3,
+                ilp_wire=next(wire),
+                payload=payload,
+                created_at=created,
+                qos_src=qos_src,
+            )
+            for _encoded, qos_src, payloads in items
+            for payload in payloads
+        ]
+        sent = self._transmit(peer, out)
         stats.packets_out += sent
         if sent:
             if recorder.recording:

@@ -430,27 +430,32 @@ class ServiceNode(NetNode):
     def clear_egress_shaper(self, host_address: str) -> None:
         self._egress_shapers.pop(host_address, None)
 
-    def _transmit(self, peer: str, packet: ILPPacket) -> bool:
+    def _transmit(self, peer: str, packets: list[ILPPacket]) -> int:
+        """The terminus transmit hook: one next hop's burst, kept a burst."""
         node = self._addr_to_node.get(peer)
         if node is None or not self.has_link_to(node):
-            return False
+            return 0
         if self.ledger is not None and self.directory is not None:
             peer_edomain = self.directory.edomain_of(peer)
             if peer_edomain is not None and peer_edomain != self.edomain_name:
                 self.ledger.record_traffic(
-                    self.edomain_name, peer_edomain, packet.wire_size
+                    self.edomain_name,
+                    peer_edomain,
+                    sum(packet.wire_size for packet in packets),
+                    len(packets),
                 )
         shaper = self._egress_shapers.get(peer)
         if shaper is not None:
-            shaper.submit(packet, lambda pkt: self.send_frame(pkt, node))
-            return True
+            for packet in packets:
+                shaper.submit(packet, lambda pkt: self.send_frame(pkt, node))
+            return len(packets)
         delay = self.terminus.pending_delay
         if delay > 0:
-            # Handle-free scheduling: per-packet delivery events are never
+            # Handle-free scheduling: the burst's one delivery event is never
             # cancelled, so the datapath skips the EventHandle allocation.
-            self.sim.post(delay, self.send_frame, packet, node)
-            return True
-        return self.send_frame(packet, node)
+            self.sim.post(delay, self.send_burst, packets, node)
+            return len(packets)
+        return self.send_burst(packets, node)
 
     # -- operations -------------------------------------------------------
     def load_service(self, module: Any, use_enclave: Optional[bool] = None) -> Any:

@@ -49,6 +49,10 @@ def frame_size(frame: Any) -> int:
 class Link:
     """A bidirectional point-to-point link between two nodes.
 
+    A sender hands a back-to-back burst over in one
+    :meth:`transmit_burst` call (:meth:`transmit` is a burst of one);
+    frames of a burst that share an arrival time ride one delivery event.
+
     Args:
         sim: the simulator driving delivery events.
         a, b: the endpoint nodes.
@@ -88,7 +92,7 @@ class Link:
         self._tx_free_at = {a: 0.0, b: 0.0}
         # Per-direction open burst: frames sent back-to-back that share one
         # arrival time ride a single coalesced delivery event instead of
-        # one event per frame (see :meth:`transmit`).
+        # one event per frame (see :meth:`transmit_burst`).
         self._pending_burst: dict["NetNode", Optional[list]] = {a: None, b: None}
         self.stats = {a: LinkStats(), b: LinkStats()}
         a.attach_link(self)
@@ -136,46 +140,60 @@ class Link:
         self.up = True
 
     def transmit(self, frame: Any, src: "NetNode") -> bool:
-        """Send ``frame`` from ``src`` toward the other endpoint.
+        """Send one frame: a burst of one (see :meth:`transmit_burst`)."""
+        return self.transmit_burst([frame], src) == 1
 
-        Returns True if the frame was put on the wire (it may still be lost).
+    def transmit_burst(self, frames: list, src: "NetNode") -> int:
+        """Send ``frames`` back to back from ``src`` toward the other endpoint.
+
+        The per-frame rules run in order inside one loop — MTU check
+        (:class:`LinkError`; the frames before the offender stay on the
+        wire), ``up`` check, one loss draw, serialization at
+        ``bandwidth_bps`` — so a burst is indistinguishable from the same
+        frames sent one call each. Returns how many frames were put on
+        the wire (they may still be lost).
         """
         dst = self.other(src)
         stats = self.stats[src]
-        size = frame_size(frame)
-        if size > self.mtu:
-            raise LinkError(f"frame of {size}B exceeds MTU {self.mtu}")
-        if not self.up:
-            stats.frames_dropped_down += 1
-            return False
-        stats.frames_sent += 1
-        stats.bytes_sent += size
-        if self._loss_rate and self._rng.random() < self._loss_rate:
-            stats.frames_dropped_loss += 1
-            return False
-        serialization = (
-            (size * 8) / self.bandwidth_bps if self.bandwidth_bps > 0 else 0.0
-        )
-        start = max(self.sim.now, self._tx_free_at[src])
-        done = start + serialization
-        self._tx_free_at[src] = done
-        arrival = done + self.latency
-        # Coalesce back-to-back frames into one delivery event: on an
-        # infinite-rate link a burst all arrives at the same instant, so a
-        # single simulator event delivers the whole burst (the receiver may
-        # then batch-process it). Frames whose arrival differs — bandwidth
-        # serialization spreads them out — start a new burst.
+        mtu, up, loss, latency = self.mtu, self.up, self._loss_rate, self.latency
+        bandwidth = self.bandwidth_bps
+        draw = self._rng.random
+        now = self.sim.now
+        free_at = self._tx_free_at[src]
         pending = self._pending_burst[src]
-        if pending is not None and pending[0] == arrival:
-            pending[1].append(frame)
-            pending[2] += size
-        else:
-            pending = [arrival, [frame], size]
+        on_wire = 0
+        try:
+            for frame in frames:
+                size = frame_size(frame)
+                if size > mtu:
+                    raise LinkError(f"frame of {size}B exceeds MTU {mtu}")
+                if not up:
+                    stats.frames_dropped_down += 1
+                    continue
+                stats.frames_sent += 1
+                stats.bytes_sent += size
+                if loss and draw() < loss:
+                    stats.frames_dropped_loss += 1
+                    continue
+                start = now if now > free_at else free_at
+                free_at = start + ((size * 8) / bandwidth if bandwidth > 0 else 0.0)
+                arrival = free_at + latency
+                # Frames sharing an arrival time ride one delivery event: an
+                # infinite-rate link lands a whole burst at one instant (the
+                # receiver may batch-process it); bandwidth serialization
+                # spreads frames out, each starting a new burst.
+                if pending is not None and pending[0] == arrival:
+                    pending[1].append(frame)
+                    pending[2] += size
+                else:
+                    pending = [arrival, [frame], size]
+                    # Fire-and-forget: never cancelled, so no EventHandle.
+                    self.sim.post_at(arrival, self._deliver_burst, src, dst, pending)
+                on_wire += 1
+        finally:
+            self._tx_free_at[src] = free_at
             self._pending_burst[src] = pending
-            # Fire-and-forget: burst delivery is never cancelled, so skip
-            # the EventHandle allocation on the per-burst hot path.
-            self.sim.post_at(arrival, self._deliver_burst, src, dst, pending)
-        return True
+        return on_wire
 
     def _deliver_burst(
         self, src: "NetNode", dst: "NetNode", burst: list

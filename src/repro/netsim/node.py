@@ -74,11 +74,13 @@ class NetNode:
             link.set_up()
 
     def send_frame(self, frame: Any, neighbor: "NetNode") -> bool:
-        """Transmit a frame to a directly connected neighbor."""
-        link = self.link_to(neighbor)
-        sent = link.transmit(frame, self)
-        if sent:
-            self.frames_sent += 1
+        """Transmit one frame to a directly connected neighbor: a burst of one."""
+        return self.send_burst([frame], neighbor) == 1
+
+    def send_burst(self, frames: list, neighbor: "NetNode") -> int:
+        """Transmit frames back to back to a neighbor; returns how many left."""
+        sent = self.link_to(neighbor).transmit_burst(frames, self)
+        self.frames_sent += sent
         return sent
 
     def receive_frame(self, frame: Any, link: Link) -> None:

@@ -147,8 +147,8 @@ class _Rig:
             OffloadAction(ActionKind.FORWARD, PEER_B),
         )
 
-    def _sink(self, peer: str, pkt: ILPPacket) -> bool:
-        self.sent.append(
+    def _sink(self, peer: str, pkts: list[ILPPacket]) -> int:
+        self.sent.extend(
             (
                 peer,
                 pkt.l3.src,
@@ -159,8 +159,9 @@ class _Rig:
                 pkt.qos_src,
                 pkt.created_at,
             )
+            for pkt in pkts
         )
-        return True
+        return len(pkts)
 
     def build_packet(self, spec: dict) -> ILPPacket:
         kind = spec["kind"]

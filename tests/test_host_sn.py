@@ -12,6 +12,9 @@ from repro.netsim import Link, Simulator
 from repro.services import IPDeliveryService, NullService
 
 
+_VALID_HEADER = ILPHeader(service_id=1, connection_id=1).encode()
+
+
 def _basic(sim=None):
     sim = sim or Simulator()
     sn = ServiceNode(sim, "sn", "10.0.0.1")
@@ -119,6 +122,32 @@ class TestSendReceive:
         sn.send_frame(pkt, b)
         sim.run()
         assert b.undeliverable == 1
+
+    @pytest.mark.parametrize(
+        "plaintext",
+        [
+            b"\x01\x02\x03",  # shorter than the fixed header
+            _VALID_HEADER + b"\x05",  # TLV header cut
+            _VALID_HEADER + b"\x05\x00\x09ab",  # TLV value cut
+            b"\x7f" + _VALID_HEADER[1:],  # bad version
+        ],
+        ids=["short-fixed", "tlv-header-cut", "tlv-value-cut", "bad-version"],
+    )
+    def test_authenticated_but_malformed_header_counted(self, plaintext):
+        """The tag verifies but the plaintext is not an ILP header: a counted
+        drop, not an ILPError out of ``Simulator.run``."""
+        from repro.core.packet import ILPPacket, L3Header
+
+        sim, sn, a, b = _basic()
+        pkt = ILPPacket(
+            l3=L3Header(src=sn.address, dst=b.address),
+            ilp_wire=sn.keystore.get(b.address).seal(plaintext),
+            payload=make_payload(b""),
+        )
+        sn.send_frame(pkt, b)
+        sim.run()
+        assert b.undeliverable == 1
+        assert b.delivered == []
 
 
 class TestDirectConnectivity:

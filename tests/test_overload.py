@@ -344,7 +344,7 @@ class _PuntRig:
         self.terminus = self.node.terminus
         self.sent: list[tuple[str, ILPPacket]] = []
         self.terminus.set_transmit(
-            lambda peer, pkt: self.sent.append((peer, pkt)) or True
+            lambda peer, pkts: self.sent.extend((peer, p) for p in pkts) or len(pkts)
         )
         secret = pairwise_secret(SN_ADDR, PEER)
         self.node.keystore.establish(PEER, secret)

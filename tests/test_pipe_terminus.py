@@ -1,5 +1,6 @@
 """Unit tests for the pipe-terminus fast/slow path (Figure 2)."""
 
+from types import SimpleNamespace
 from typing import Any
 
 import pytest
@@ -13,7 +14,8 @@ from repro.core.packet import ILPPacket, L3Header, make_payload
 from repro.core.pipe_terminus import PipeTerminus
 from repro.core.psp import PSPContext, PeerKeyStore, pairwise_secret
 from repro.core.service_module import Emit, ServiceModule, Verdict
-from repro.netsim import Simulator
+from repro.econ.peering import PeeringLedger
+from repro.netsim import Link, SinkNode, Simulator
 from repro.core.service_node import ServiceNode
 
 SN_ADDR = "10.0.0.1"
@@ -48,7 +50,7 @@ class _Fixture:
         self.terminus = self.node.terminus
         self.sent: list[tuple[str, ILPPacket]] = []
         self.terminus.set_transmit(
-            lambda peer, pkt: (self.sent.append((peer, pkt)), True)[1]
+            lambda peer, pkts: self.sent.extend((peer, p) for p in pkts) or len(pkts)
         )
         self.peers = {}
         for peer in (PEER_A, PEER_B):
@@ -489,3 +491,95 @@ class TestPreEncodedSend:
         assert [p for p, _ in fx.sent] == [PEER_A, PEER_B]
         # apply_decision encodes once; send() reuses the provided bytes.
         assert encode_calls == 1
+
+
+class _CountingShaper:
+    """A pass-through egress shaper that records what it was handed."""
+
+    def __init__(self) -> None:
+        self.submitted: list[Any] = []
+
+    def submit(self, packet, send) -> None:
+        self.submitted.append(packet)
+        send(packet)
+
+
+class TestEgressStaysABurst:
+    """The de-batching gate: a warm burst leaves a real ``ServiceNode`` over
+    real ``Link``s as one transmit event plus one link delivery per next
+    hop — never one of either per frame."""
+
+    NEXT_HOPS = ("10.0.1.1", "10.0.1.2", "10.0.1.3")
+    BURST = 64
+
+    def _rig(self, next_hops):
+        sim = Simulator()
+        sn = ServiceNode(sim, "sn", SN_ADDR, edomain_name="west")
+        sn.keystore.establish(PEER_A, pairwise_secret(SN_ADDR, PEER_A))
+        sinks = {}
+        for conn, addr in enumerate(next_hops, start=1):
+            sinks[addr] = SinkNode(sim, addr)
+            Link(sim, sn, sinks[addr], latency=0.001)
+            sn.register_peer_node(addr, sinks[addr])
+            sn.keystore.establish(addr, pairwise_secret(SN_ADDR, addr))
+            sn.cache.install(CacheKey(PEER_A, 42, conn), Decision.forward(addr))
+        return sim, sn, sinks
+
+    def _burst(self, n_conns):
+        """BURST warm packets round-robined over connections 1..n_conns."""
+        tx = PSPContext(pairwise_secret(SN_ADDR, PEER_A))
+        return [
+            ILPPacket(
+                l3=L3Header(src=PEER_A, dst=SN_ADDR),
+                ilp_wire=tx.seal(
+                    ILPHeader(service_id=42, connection_id=1 + i % n_conns).encode()
+                ),
+                payload=make_payload(bytes([i])),
+            )
+            for i in range(self.BURST)
+        ]
+
+    @pytest.mark.parametrize("n_hops", [1, 3])
+    def test_one_egress_event_and_one_link_delivery_per_next_hop(self, n_hops):
+        sim, sn, sinks = self._rig(self.NEXT_HOPS[:n_hops])
+        assert sn.terminus.receive_batch(self._burst(n_hops)) == self.BURST
+        assert sn.terminus.stats.fast_path == self.BURST
+        before = sim.events_processed
+        sim.run()
+        assert sim.events_processed - before == 2 * n_hops
+        assert sum(len(s.received) for s in sinks.values()) == self.BURST
+        assert sn.frames_sent == self.BURST
+        for addr, sink in sinks.items():
+            # Each next hop got its flow's packets, in arrival order.
+            assert [p.l3.dst for p in sink.received] == [addr] * len(sink.received)
+            data = [p.payload.data[0] for p in sink.received]
+            assert data == sorted(data)
+
+    def test_shaped_pipe_still_submits_per_packet(self):
+        sim, sn, sinks = self._rig(self.NEXT_HOPS[:1])
+        shaper = _CountingShaper()
+        sn.set_egress_shaper(self.NEXT_HOPS[0], shaper)
+        sn.terminus.receive_batch(self._burst(1))
+        sim.run()
+        assert len(shaper.submitted) == self.BURST
+        assert all(isinstance(p, ILPPacket) for p in shaper.submitted)
+        assert len(sinks[self.NEXT_HOPS[0]].received) == self.BURST
+
+    def test_border_ledger_totals_match_scalar_sends(self):
+        totals = []
+        for as_burst in (True, False):
+            sim, sn, sinks = self._rig(self.NEXT_HOPS[:1])
+            sn.ledger = PeeringLedger()
+            sn.directory = SimpleNamespace(edomain_of=lambda addr: "east")
+            burst = self._burst(1)
+            if as_burst:
+                sn.terminus.receive_batch(burst)
+            else:
+                for pkt in burst:
+                    sn.terminus.receive(pkt)
+            sim.run()
+            record = sn.ledger.traffic("west", "east")
+            wire = sum(p.wire_size for p in sinks[self.NEXT_HOPS[0]].received)
+            assert (record.bytes_sent, record.packets_sent) == (wire, self.BURST)
+            totals.append((record.bytes_sent, record.packets_sent))
+        assert totals[0] == totals[1]

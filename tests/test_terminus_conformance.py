@@ -162,7 +162,9 @@ def _packets(scenario: _Scenario) -> list[ILPPacket]:
 def _production(scenario, mode, sample_every, deliver: Callable) -> tuple[dict, dict, dict]:
     node = ServiceNode(Simulator(), "sn", SN_ADDR, invocation_mode=mode)
     sent: list[tuple[str, ILPPacket]] = []
-    node.terminus.set_transmit(lambda peer, pkt: sent.append((peer, pkt)) or True)
+    node.terminus.set_transmit(
+        lambda peer, pkts: sent.extend((peer, p) for p in pkts) or len(pkts)
+    )
     for peer in PEERS:
         node.keystore.establish(peer, pairwise_secret(SN_ADDR, peer))
     node.env.load(_Service())
