@@ -17,29 +17,19 @@ Rule          What it enforces
               ``hash()`` (randomized per process via PYTHONHASHSEED —
               the root of dict-order nondeterminism), and unseeded
               ``numpy`` RNGs. Simulations must replay bit-identically
-              from their seeds.
+              from their seeds. Also banned anywhere in non-test code,
+              reachable from a callback or not: importing ``socket``,
+              ``subprocess``, ``threading``, ``select``,
+              ``multiprocessing``, ``asyncio`` or ``pickle``, and calling
+              ``time.sleep`` / ``os.system`` and friends.
 ``DET002``    No cross-module reach-ins to private (``_``-prefixed)
               attributes. An attribute may be touched through a receiver
               other than ``self``/``cls`` only in the module that owns
               it (assigns it on ``self``, declares it in ``__slots__``
               or a class body).
-``WIRE001``   Every stateful class in the wire-path modules (``ilp``,
-              ``packet``, ``crypto``, ``psp``, ``decision_cache``,
-              ``pipe_terminus``) declares ``__slots__`` (dataclasses:
-              ``slots=True``), and any ``encode`` method has a matching
-              ``decode`` (round-trip discipline).
 ``RES001``    Every watch registration (``watch`` / ``watch_prefix`` /
               ``watch_group``) in a class has a matching teardown call
               in the same class — watches must not leak.
-``OBS001``    Every ``begin_span`` call site has a matching ``end_span``
-              in the same scope — spans must not dangle.
-``EVT001``    *Whole-program.* No function transitively reachable from
-              an event-loop callback (``schedule`` / ``post`` /
-              ``Timer`` / ``PeriodicTask`` / ``watch*`` registrations,
-              pipe transmit handlers) may reach a blocking or wall-clock
-              primitive (``time.sleep``, ``time.time``, sockets,
-              ``subprocess``, ``threading`` sync). Findings carry the
-              full call chain from the registered callback.
 ``DET003``    *Whole-program.* Every ``random.Random(seed)`` /
               ``.reseed(x)`` argument must dataflow back to a
               constructor parameter, config field, or literal — never
@@ -51,22 +41,22 @@ Rule          What it enforces
               ``CONSERVATION_LEDGERS`` declaration exists on its class.
 ============  ==========================================================
 
-The whole-program rules run on a project-wide symbol table and call
-graph (:mod:`repro.analysis.graph`): module-qualified resolution of
-functions and methods, conservative receiver-type inference from
-annotations and dataclass fields, and callback-registration edges
-treated as call edges. Resolution caveats are documented in
-``docs/API.md``.
+The whole-program rules run on a project-wide symbol table
+(:mod:`repro.analysis.symbols`): module-qualified names for functions,
+methods and classes, import-resolved external calls, and conservative
+receiver-type inference from annotations and dataclass fields for
+attribute writes. There are no call edges. Resolution caveats are
+documented in ``docs/API.md``.
 
 A finding can be waived inline with ``# repro: allow(CODE) reason`` on
 the offending line or the line above; waivers are deliberate, reviewed
-exceptions (e.g. ``ILPHeader`` is dict-backed for its wire memo).
+exceptions (e.g. the entropy boundary in ``core/crypto.py``).
 
-Repeated runs stay fast through a content-hash incremental cache
-(``--cache PATH``): per-file findings are keyed on each file's SHA-256
-and the whole-program pass on the digest of every file hash, so only
-edited files are re-parsed and the interprocedural pass only re-runs
-when anything changed.
+Two invariants that used to be syntactic rules are checked where they
+can be checked exactly: wire-path classes declare ``__slots__`` and pair
+``encode``/``decode`` (``tests/test_ilp_packet.py`` inspects the imported
+classes), and every span is closed (``tests/test_obs_conformance.py``
+checks real traces).
 
 The static rules are paired with a *sanitizer mode*
 (:mod:`repro.sanitize`): ``REPRO_SANITIZE=1`` arms debug-build runtime
@@ -75,26 +65,16 @@ checks of the same invariants at the terminus and resilience layers.
 
 from __future__ import annotations
 
-from .engine import (
-    AnalysisCache,
-    Finding,
-    ModuleContext,
-    analyze_file,
-    analyze_paths,
-    build_program_for_paths,
-)
-from .graph import ProgramGraph, build_program
+from .engine import Finding, ModuleContext, analyze_file, analyze_paths
 from .rules import ALL_RULES, RULE_DOCS
+from .symbols import SymbolTable
 
 __all__ = [
     "ALL_RULES",
     "RULE_DOCS",
-    "AnalysisCache",
     "Finding",
     "ModuleContext",
-    "ProgramGraph",
+    "SymbolTable",
     "analyze_file",
     "analyze_paths",
-    "build_program",
-    "build_program_for_paths",
 ]

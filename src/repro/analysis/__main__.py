@@ -9,14 +9,6 @@ Flags::
     --rules CODES        comma-separated rule codes to run (default: all)
     --json               emit findings as JSON
     --list-rules         print the rule catalog and exit
-    --cache PATH         content-hash incremental cache (keeps CI warm)
-    --graph-json PATH    dump the whole-program call graph as JSON ('-'
-                         for stdout) and exit
-    --baseline PATH      findings-baseline file (default:
-                         analysis-baseline.json)
-    --write-baseline     snapshot current findings into the baseline
-    --since-baseline     report only findings not present in the baseline
-                         (known debt stays suppressed, new debt blocks)
 """
 
 from __future__ import annotations
@@ -24,66 +16,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections import Counter
 from pathlib import Path
-from typing import Optional, Sequence
 
-from .engine import Finding, analyze_paths, build_program_for_paths, rule_code
+from .engine import analyze_paths, rule_code
 from .rules import ALL_RULES, RULE_DOCS
-
-_BASELINE_SCHEMA = 1
-
-
-def _finding_key(finding: Finding) -> tuple[str, str, str]:
-    """Baseline identity: line numbers drift, (path, code, message) don't."""
-    return (finding.path, finding.code, finding.message)
-
-
-def write_baseline(path: Path, findings: Sequence[Finding]) -> None:
-    counts = Counter(_finding_key(f) for f in findings)
-    payload = {
-        "schema": _BASELINE_SCHEMA,
-        "findings": [
-            {"path": p, "code": c, "message": m, "count": n}
-            for (p, c, m), n in sorted(counts.items())
-        ],
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-
-
-def load_baseline(path: Path) -> Optional["Counter[tuple[str, str, str]]"]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return None
-    if not isinstance(raw, dict) or raw.get("schema") != _BASELINE_SCHEMA:
-        return None
-    counts: Counter[tuple[str, str, str]] = Counter()
-    for entry in raw.get("findings", []):
-        if not isinstance(entry, dict):
-            continue
-        key = (
-            str(entry.get("path", "")),
-            str(entry.get("code", "")),
-            str(entry.get("message", "")),
-        )
-        counts[key] += int(entry.get("count", 1))
-    return counts
-
-
-def since_baseline(
-    findings: Sequence[Finding], baseline: "Counter[tuple[str, str, str]]"
-) -> list[Finding]:
-    """Findings not accounted for by the baseline (multiset subtraction)."""
-    budget = Counter(baseline)
-    fresh: list[Finding] = []
-    for finding in findings:
-        key = _finding_key(finding)
-        if budget[key] > 0:
-            budget[key] -= 1
-        else:
-            fresh.append(finding)
-    return fresh
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -107,34 +43,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
-    parser.add_argument(
-        "--cache",
-        type=Path,
-        metavar="PATH",
-        help="content-hash incremental findings cache",
-    )
-    parser.add_argument(
-        "--graph-json",
-        metavar="PATH",
-        help="dump the whole-program call graph as JSON ('-' = stdout) and exit",
-    )
-    parser.add_argument(
-        "--baseline",
-        type=Path,
-        default=Path("analysis-baseline.json"),
-        metavar="PATH",
-        help="findings baseline file (default: analysis-baseline.json)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="snapshot current findings into the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--since-baseline",
-        action="store_true",
-        help="report only findings not present in the baseline",
-    )
     args = parser.parse_args(argv)
 
     if args.list_rules:
@@ -149,16 +57,6 @@ def main(argv: list[str] | None = None) -> int:
         print("no paths to scan (run from the repo root or pass paths)", file=sys.stderr)
         return 2
 
-    if args.graph_json is not None:
-        program = build_program_for_paths(paths)
-        payload = json.dumps(program.to_json_dict(), indent=2, sort_keys=True)
-        if args.graph_json == "-":
-            print(payload)
-        else:
-            Path(args.graph_json).write_text(payload + "\n", encoding="utf-8")
-            print(f"graph written to {args.graph_json}", file=sys.stderr)
-        return 0
-
     rules = ALL_RULES
     if args.rules:
         wanted = {code.strip().upper() for code in args.rules.split(",")}
@@ -168,25 +66,7 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         rules = tuple(rule for rule in ALL_RULES if rule_code(rule) in wanted)
 
-    findings = analyze_paths(paths, rules=rules, cache_path=args.cache)
-
-    if args.write_baseline:
-        write_baseline(args.baseline, findings)
-        print(
-            f"baseline written: {len(findings)} finding(s) -> {args.baseline}",
-            file=sys.stderr,
-        )
-        return 0
-    if args.since_baseline:
-        baseline = load_baseline(args.baseline)
-        if baseline is None:
-            print(
-                f"no readable baseline at {args.baseline}; "
-                "run --write-baseline first",
-                file=sys.stderr,
-            )
-            return 2
-        findings = since_baseline(findings, baseline)
+    findings = analyze_paths(paths, rules=rules)
 
     if args.as_json:
         print(

@@ -1,4 +1,4 @@
-"""Analysis engine: file walking, module context, waivers, and caching.
+"""Analysis engine: file walking, module context, and waivers.
 
 The engine parses each Python file once into a :class:`ModuleContext`
 (AST + waiver map + ownership facts) and hands it to every applicable
@@ -7,33 +7,19 @@ rule. Two rule shapes exist:
 * **per-module** rules — plain callables ``rule(ctx) -> list[Finding]``
   registered in :mod:`repro.analysis.rules`;
 * **interprocedural** rules — callables
-  ``rule(program: ProgramGraph) -> list[Finding]`` (marked with
+  ``rule(program: SymbolTable) -> list[Finding]`` (marked with
   ``rule.interprocedural = True``) registered in
   :mod:`repro.analysis.iprules`, which run once over the whole-program
-  call graph built from every parsed module.
-
-An optional **content-hash incremental cache** (``cache_path``) keys
-per-module findings on each file's SHA-256 and the interprocedural
-findings on the digest of *all* file hashes, so an unchanged tree
-re-analyzes nothing and a one-file edit re-runs only that module's
-rules plus the (cheap, single) graph pass.
+  symbol table built from every parsed module.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
-
-if TYPE_CHECKING:  # circular at runtime: graph builds on ModuleContext
-    from .graph import ProgramGraph
-
-#: Bump to invalidate cached findings when engine/rule semantics change.
-ENGINE_VERSION = "2"
+from typing import Callable, Iterable, Optional, Sequence
 
 #: Inline waiver: ``# repro: allow(CODE[, CODE...]) optional reason``.
 #: Applies to the line it sits on and the line directly below (so a
@@ -181,7 +167,7 @@ def _collect_owned_privates(tree: ast.Module) -> frozenset[str]:
 
 
 #: Per-module rule: ``rule(ctx) -> findings``. Interprocedural rules take
-#: a ProgramGraph instead and are marked ``rule.interprocedural = True``.
+#: a SymbolTable instead and are marked ``rule.interprocedural = True``.
 Rule = Callable[..., list[Finding]]
 
 
@@ -194,69 +180,17 @@ def rule_code(rule: Rule) -> str:
     return rule.__name__.removeprefix("rule_").upper()
 
 
-def _parse_failure(rel: str, exc: SyntaxError) -> Finding:
-    return Finding(
-        path=rel,
-        line=exc.lineno or 1,
-        col=(exc.offset or 0) + 1,
-        code="PARSE",
-        message=f"syntax error: {exc.msg}",
-    )
-
-
-def _load_context(
-    path: Path, rel: str, source: Optional[str] = None
-) -> tuple[Optional[ModuleContext], list[Finding]]:
-    if source is None:
-        source = path.read_text(encoding="utf-8")
-    try:
-        return ModuleContext(path, rel, source), []
-    except SyntaxError as exc:
-        return None, [_parse_failure(rel, exc)]
-
-
-def _run_interprocedural(
-    contexts: Sequence[ModuleContext], rules: Sequence[Rule]
-) -> list[Finding]:
-    if not rules or not contexts:
-        return []
-    from .graph import build_program
-
-    program = build_program(list(contexts))
-    findings: list[Finding] = []
-    for rule in rules:
-        findings.extend(rule(program))
-    return findings
-
-
 def analyze_file(
     path: Path,
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> list[Finding]:
-    """Run ``rules`` (default: all) over one file.
+    """Run ``rules`` (default: all) over one ``.py`` file.
 
     Interprocedural rules see a one-module program — enough for
     self-contained fixtures; use :func:`analyze_paths` for real trees.
     """
-    from .rules import ALL_RULES
-
-    if rules is None:
-        rules = ALL_RULES
-    rel = str(path.relative_to(root)) if root is not None else str(path)
-    ctx, findings = _load_context(path, rel)
-    if ctx is None:
-        return findings
-    for rule in rules:
-        if not is_interprocedural(rule):
-            findings.extend(rule(ctx))
-    findings.extend(
-        _run_interprocedural(
-            [ctx], [rule for rule in rules if is_interprocedural(rule)]
-        )
-    )
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
+    return analyze_paths([path], root, rules)
 
 
 def iter_python_files(paths: Sequence[Path]) -> list[Path]:
@@ -269,207 +203,47 @@ def iter_python_files(paths: Sequence[Path]) -> list[Path]:
     return files
 
 
-# -- incremental cache -----------------------------------------------------
-
-_CACHE_SCHEMA = 1
-
-
-def _finding_to_row(finding: Finding) -> list[object]:
-    return [finding.path, finding.line, finding.col, finding.code, finding.message]
-
-
-def _finding_from_row(row: Sequence[object]) -> Finding:
-    return Finding(
-        path=str(row[0]),
-        line=int(str(row[1])),
-        col=int(str(row[2])),
-        code=str(row[3]),
-        message=str(row[4]),
-    )
-
-
-class AnalysisCache:
-    """Content-hash findings cache: per-file entries + one program entry."""
-
-    def __init__(self, path: Path, rules_key: str) -> None:
-        self.path = path
-        self.rules_key = rules_key
-        self.files: dict[str, dict[str, object]] = {}
-        self.program: dict[str, object] = {}
-        self.dirty = False
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except (OSError, ValueError):
-            return
-        if (
-            not isinstance(raw, dict)
-            or raw.get("schema") != _CACHE_SCHEMA
-            or raw.get("rules_key") != rules_key
-        ):
-            return  # different schema or rule set: start cold
-        files = raw.get("files")
-        if isinstance(files, dict):
-            self.files = files
-        program = raw.get("program")
-        if isinstance(program, dict):
-            self.program = program
-
-    def module_findings(self, rel: str, digest: str) -> Optional[list[Finding]]:
-        entry = self.files.get(rel)
-        if not isinstance(entry, dict) or entry.get("hash") != digest:
-            return None
-        rows = entry.get("findings")
-        if not isinstance(rows, list):
-            return None
-        return [_finding_from_row(row) for row in rows]
-
-    def store_module(
-        self, rel: str, digest: str, findings: Sequence[Finding]
-    ) -> None:
-        self.files[rel] = {
-            "hash": digest,
-            "findings": [_finding_to_row(f) for f in findings],
-        }
-        self.dirty = True
-
-    def program_findings(self, key: str) -> Optional[list[Finding]]:
-        if self.program.get("key") != key:
-            return None
-        rows = self.program.get("findings")
-        if not isinstance(rows, list):
-            return None
-        return [_finding_from_row(row) for row in rows]
-
-    def store_program(self, key: str, findings: Sequence[Finding]) -> None:
-        self.program = {
-            "key": key,
-            "findings": [_finding_to_row(f) for f in findings],
-        }
-        self.dirty = True
-
-    def save(self, known_files: Iterable[str]) -> None:
-        keep = set(known_files)
-        self.files = {rel: e for rel, e in self.files.items() if rel in keep}
-        payload = {
-            "schema": _CACHE_SCHEMA,
-            "rules_key": self.rules_key,
-            "files": self.files,
-            "program": self.program,
-        }
-        try:
-            self.path.write_text(
-                json.dumps(payload, sort_keys=True), encoding="utf-8"
-            )
-        except OSError:
-            pass  # a read-only checkout must not fail the analysis
-
-
 def analyze_paths(
     paths: Sequence[Path],
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    cache_path: Optional[Union[str, Path]] = None,
 ) -> list[Finding]:
     """Run the rule set over every ``.py`` file under ``paths``.
 
-    Per-module rules run file-by-file (cache-hit files are not even
-    parsed unless the interprocedural pass needs their AST); the
-    interprocedural rules run once over the whole-program graph and are
-    cached against the digest of every file hash.
+    Per-module rules run file by file; the interprocedural rules run once
+    over the symbol table of every file that parsed.
     """
     from .rules import ALL_RULES
 
     if rules is None:
         rules = ALL_RULES
     module_rules = [rule for rule in rules if not is_interprocedural(rule)]
-    ip_rules = [rule for rule in rules if is_interprocedural(rule)]
-    rules_key = ",".join(sorted(rule_code(r) for r in rules)) + "|" + ENGINE_VERSION
-
-    files = iter_python_files(paths)
-    rels: list[str] = []
-    sources: dict[str, str] = {}
-    digests: dict[str, str] = {}
-    file_paths: dict[str, Path] = {}
-    for file_path in files:
-        rel = str(file_path.relative_to(root)) if root is not None else str(file_path)
-        data = file_path.read_bytes()
-        rels.append(rel)
-        file_paths[rel] = file_path
-        sources[rel] = data.decode("utf-8")
-        digests[rel] = hashlib.sha256(data).hexdigest()
-
-    cache: Optional[AnalysisCache] = None
-    if cache_path is not None:
-        cache = AnalysisCache(Path(cache_path), rules_key)
-
-    program_key = hashlib.sha256(
-        ("\n".join(f"{rel}:{digests[rel]}" for rel in sorted(rels)) + rules_key).encode()
-    ).hexdigest()
-    cached_program = cache.program_findings(program_key) if cache else None
-
+    program_rules = [rule for rule in rules if is_interprocedural(rule)]
     findings: list[Finding] = []
-    contexts: dict[str, Optional[ModuleContext]] = {}
-
-    def context_for(rel: str) -> Optional[ModuleContext]:
-        if rel not in contexts:
-            ctx, parse_findings = _load_context(
-                file_paths[rel], rel, sources[rel]
-            )
-            contexts[rel] = ctx
-            if ctx is None and cache is not None:
-                # Make sure the PARSE finding is what the cache holds.
-                cache.store_module(rel, digests[rel], parse_findings)
-        return contexts[rel]
-
-    for rel in rels:
-        cached = cache.module_findings(rel, digests[rel]) if cache else None
-        if cached is not None:
-            findings.extend(cached)
-            continue
-        ctx, parse_findings = _load_context(file_paths[rel], rel, sources[rel])
-        contexts[rel] = ctx
-        if ctx is None:
-            findings.extend(parse_findings)
-            if cache is not None:
-                cache.store_module(rel, digests[rel], parse_findings)
-            continue
-        module_findings: list[Finding] = []
-        for rule in module_rules:
-            module_findings.extend(rule(ctx))
-        findings.extend(module_findings)
-        if cache is not None:
-            cache.store_module(rel, digests[rel], module_findings)
-
-    if ip_rules:
-        if cached_program is not None:
-            findings.extend(cached_program)
-        else:
-            parsed = [
-                ctx
-                for ctx in (context_for(rel) for rel in rels)
-                if ctx is not None
-            ]
-            ip_findings = _run_interprocedural(parsed, ip_rules)
-            findings.extend(ip_findings)
-            if cache is not None:
-                cache.store_program(program_key, ip_findings)
-
-    if cache is not None and cache.dirty:
-        cache.save(rels)
-    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    return findings
-
-
-def build_program_for_paths(
-    paths: Sequence[Path], root: Optional[Path] = None
-) -> "ProgramGraph":
-    """Parse every file under ``paths`` and build the program graph."""
-    from .graph import build_program
-
     contexts: list[ModuleContext] = []
     for file_path in iter_python_files(paths):
         rel = str(file_path.relative_to(root)) if root is not None else str(file_path)
-        ctx, _ = _load_context(file_path, rel)
-        if ctx is not None:
-            contexts.append(ctx)
-    return build_program(contexts)
+        try:
+            ctx = ModuleContext(file_path, rel, file_path.read_text(encoding="utf-8"))
+        except SyntaxError as exc:
+            findings.append(
+                Finding(
+                    path=rel,
+                    line=exc.lineno or 1,
+                    col=(exc.offset or 0) + 1,
+                    code="PARSE",
+                    message=f"syntax error: {exc.msg}",
+                )
+            )
+            continue
+        contexts.append(ctx)
+        for rule in module_rules:
+            findings.extend(rule(ctx))
+    if program_rules and contexts:
+        from .symbols import SymbolTable  # circular: symbols builds on this module
+
+        program = SymbolTable(contexts)
+        for rule in program_rules:
+            findings.extend(rule(program))
+    findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
+    return findings

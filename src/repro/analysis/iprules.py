@@ -1,17 +1,7 @@
-"""Interprocedural rules: EVT001, DET003, LEDGER001.
+"""Interprocedural rules: DET003, LEDGER001.
 
-These rules run over the whole-program graph built by
-:mod:`repro.analysis.graph` instead of one module at a time:
-
-``EVT001``
-    No function transitively reachable from an event-loop callback may
-    reach a blocking or wall-clock primitive (``time.sleep``, the
-    ``time.*`` clocks, sockets, ``subprocess``, ``threading``
-    synchronization, ``select``). The netsim event loop is the
-    determinism boundary of every experiment; one hidden
-    ``time.sleep`` three calls deep voids bit-identical replay. The
-    finding message carries the full call chain from the registered
-    callback to the offending call.
+These rules run over the whole-program symbol table built by
+:mod:`repro.analysis.symbols` instead of one module at a time:
 
 ``DET003``
     Seed provenance: every ``random.Random(seed)`` / ``reseed(x)``
@@ -37,113 +27,10 @@ rules.
 from __future__ import annotations
 
 import ast
-from collections import deque
 from typing import Optional
 
 from .engine import Finding
-from .graph import FunctionInfo, ProgramGraph
-
-# --------------------------------------------------------------------------
-# EVT001 — event-loop purity
-# --------------------------------------------------------------------------
-
-#: ``time`` functions that block or read a real clock.
-_TIME_BLOCKED = frozenset(
-    {
-        "sleep",
-        "time",
-        "time_ns",
-        "monotonic",
-        "monotonic_ns",
-        "perf_counter",
-        "perf_counter_ns",
-        "process_time",
-        "process_time_ns",
-        "thread_time",
-        "thread_time_ns",
-        "localtime",
-        "gmtime",
-        "ctime",
-        "asctime",
-    }
-)
-
-#: Modules any call into which blocks or touches the outside world.
-_BLOCKED_MODULES = frozenset({"socket", "subprocess", "threading", "select"})
-
-#: Specific blocking ``os`` entry points (``os.urandom`` stays DET001's).
-_OS_BLOCKED = frozenset({"system", "popen", "fork", "wait", "waitpid"})
-
-
-def _blocked_reason(dotted: str) -> Optional[str]:
-    """Why a dotted external call is illegal under an event callback."""
-    top, _, name = dotted.partition(".")
-    if top == "time" and name in _TIME_BLOCKED:
-        kind = "blocking" if name == "sleep" else "wall-clock"
-        return f"{dotted}() is a {kind} primitive"
-    if top in _BLOCKED_MODULES:
-        return f"{dotted}() blocks or leaves the simulated substrate"
-    if top == "os" and name in _OS_BLOCKED:
-        return f"{dotted}() blocks or spawns outside the event loop"
-    return None
-
-
-def rule_evt001(program: ProgramGraph) -> list[Finding]:
-    """EVT001: nothing reachable from an event callback blocks."""
-    roots = [
-        reg.callback for reg in program.registrations if reg.callback is not None
-    ]
-    registered_at: dict[str, str] = {}
-    for reg in program.registrations:
-        if reg.callback is not None and reg.callback not in registered_at:
-            registrar = program.functions.get(reg.registrar)
-            where = registrar.module.ctx.rel_path if registrar else "?"
-            registered_at[reg.callback] = f"{where}:{reg.node.lineno}"
-    # Multi-source BFS with parent pointers for chain reconstruction.
-    parent: dict[str, Optional[str]] = {}
-    queue: deque[str] = deque()
-    for root in roots:
-        if root not in parent and root in program.functions:
-            parent[root] = None
-            queue.append(root)
-    order: list[str] = []
-    while queue:
-        qual = queue.popleft()
-        order.append(qual)
-        info = program.functions[qual]
-        for edge in info.calls:
-            if edge.target not in parent and edge.target in program.functions:
-                parent[edge.target] = qual
-                queue.append(edge.target)
-    findings: list[Finding] = []
-    for qual in order:
-        info = program.functions[qual]
-        ctx = info.module.ctx
-        if ctx.is_test:
-            continue
-        for call in info.external_calls:
-            reason = _blocked_reason(call.dotted)
-            if reason is None:
-                continue
-            chain: list[str] = []
-            cursor: Optional[str] = qual
-            while cursor is not None:
-                chain.append(cursor)
-                cursor = parent[cursor]
-            chain.reverse()
-            root = chain[0]
-            where = registered_at.get(root, "?")
-            found = ctx.finding(
-                call.node,
-                "EVT001",
-                f"{reason}, but it is reachable from event-loop callback "
-                f"{root} (registered at {where}); call chain: "
-                + " -> ".join(chain),
-            )
-            if found is not None:
-                findings.append(found)
-    return findings
-
+from .symbols import FunctionInfo, SymbolTable
 
 # --------------------------------------------------------------------------
 # DET003 — seed provenance
@@ -163,6 +50,27 @@ _BANNED_SEED_CALLS = frozenset(
 )
 
 _BANNED_SEED_MODULES = frozenset({"secrets"})
+
+#: ``time`` functions whose value depends on when the process runs.
+_TIME_FUNCS = frozenset(
+    {
+        "sleep",
+        "time",
+        "time_ns",
+        "monotonic",
+        "monotonic_ns",
+        "perf_counter",
+        "perf_counter_ns",
+        "process_time",
+        "process_time_ns",
+        "thread_time",
+        "thread_time_ns",
+        "localtime",
+        "gmtime",
+        "ctime",
+        "asctime",
+    }
+)
 
 _SETISH_BUILTINS = frozenset({"set", "frozenset", "dict"})
 
@@ -298,7 +206,7 @@ def _seed_violation(
             top, _, name = dotted.partition(".")
             if dotted in _BANNED_SEED_CALLS or top in _BANNED_SEED_MODULES:
                 return f"derives from {dotted}()"
-            if top == "time" and name in _TIME_BLOCKED:
+            if top == "time" and name in _TIME_FUNCS:
                 return f"derives from wall clock {dotted}()"
         func = expr.func
         if isinstance(func, ast.Name) and func.id == "sorted":
@@ -331,7 +239,7 @@ def _seed_violation_children(
 def _walk_own_body(node: ast.AST) -> "list[ast.AST]":
     """Walk a function's own statements, not nested def/lambda bodies.
 
-    Nested functions are their own graph nodes; their seed sites are
+    Nested functions are their own table entries; their seed sites are
     checked when the loop reaches their :class:`FunctionInfo`.
     """
     out: list[ast.AST] = []
@@ -349,7 +257,7 @@ def _walk_own_body(node: ast.AST) -> "list[ast.AST]":
     return out
 
 
-def rule_det003(program: ProgramGraph) -> list[Finding]:
+def rule_det003(program: SymbolTable) -> list[Finding]:
     """DET003: RNG seeds must trace to parameters, config, or literals."""
     findings: list[Finding] = []
     for info in program.functions.values():
@@ -396,7 +304,7 @@ def rule_det003(program: ProgramGraph) -> list[Finding]:
 _COUNTER_ANNOTATIONS = frozenset({"int", "float"})
 
 
-def rule_ledger001(program: ProgramGraph) -> list[Finding]:
+def rule_ledger001(program: SymbolTable) -> list[Finding]:
     """LEDGER001: no dead ``*Stats`` counters, no ledger typos."""
     findings: list[Finding] = []
     stats_classes = {
@@ -477,7 +385,5 @@ def rule_ledger001(program: ProgramGraph) -> list[Finding]:
     return findings
 
 
-for _rule in (rule_evt001, rule_det003, rule_ledger001):
+for _rule in (rule_det003, rule_ledger001):
     _rule.interprocedural = True  # type: ignore[attr-defined]
-
-INTERPROCEDURAL_RULES = (rule_evt001, rule_det003, rule_ledger001)

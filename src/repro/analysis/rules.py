@@ -1,8 +1,9 @@
-"""The rule catalog: DET001, DET002, WIRE001, RES001.
+"""The rule catalog: DET001, DET002, RES001 (+ DET003, LEDGER001).
 
-Each rule is a callable ``rule(ctx: ModuleContext) -> list[Finding]``.
-Applicability by file kind is decided here (e.g. determinism and wire
-rules do not run over test files; reach-in and watch-leak rules do).
+Each per-module rule is a callable ``rule(ctx: ModuleContext) ->
+list[Finding]``. Applicability by file kind is decided here (the
+determinism rule does not run over test files; reach-in and watch-leak
+rules do).
 """
 
 from __future__ import annotations
@@ -61,6 +62,29 @@ _WALL_CLOCK_FUNCS = frozenset(
 #: entropy boundary: key generation and connection-ID minting).
 _ENTROPY_UUID_FUNCS = frozenset({"uuid1", "uuid4"})
 
+_LEAVES_SIM = (
+    "blocks or leaves the simulated substrate; the netsim event loop is "
+    "the only scheduler and clock"
+)
+
+#: Modules whose *import* is a finding anywhere in non-test code — no
+#: reachability argument, no receiver guessing: module -> why.
+_BANNED_IMPORTS = {
+    "socket": _LEAVES_SIM,
+    "subprocess": _LEAVES_SIM,
+    "threading": _LEAVES_SIM,
+    "select": _LEAVES_SIM,
+    "multiprocessing": _LEAVES_SIM,
+    "asyncio": _LEAVES_SIM,
+    "pickle": "unpickling runs arbitrary code; bytes that cross a "
+    "boundary get a typed codec",
+}
+
+#: Blocking entry points of modules that are otherwise allowed.
+_BLOCKING_CALLS = frozenset(
+    {"time.sleep", "os.system", "os.popen", "os.fork", "os.wait", "os.waitpid"}
+)
+
 
 class _ImportTracker(ast.NodeVisitor):
     """Map local names to the modules/objects they were imported from."""
@@ -70,17 +94,20 @@ class _ImportTracker(ast.NodeVisitor):
         self.modules: dict[str, str] = {}
         #: local name -> "module.attr" for from-imports
         self.names: dict[str, str] = {}
+        #: (statement, top-level module) per absolute import
+        self.imported: list[tuple[ast.stmt, str]] = []
 
     def visit_Import(self, node: ast.Import) -> None:
         for alias in node.names:
-            self.modules[alias.asname or alias.name.split(".")[0]] = (
-                alias.name.split(".")[0]
-            )
+            top = alias.name.split(".")[0]
+            self.modules[alias.asname or top] = top
+            self.imported.append((node, top))
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
         if node.module is None or node.level:
             return  # relative imports never alias stdlib entropy modules
         top = node.module.split(".")[0]
+        self.imported.append((node, top))
         for alias in node.names:
             self.names[alias.asname or alias.name] = f"{top}.{alias.name}"
 
@@ -105,6 +132,9 @@ def rule_det001(ctx: ModuleContext) -> list[Finding]:
         if found is not None:
             findings.append(found)
 
+    for statement, top in tracker.imported:
+        if top in _BANNED_IMPORTS:
+            emit(statement, f"import of {top}: {_BANNED_IMPORTS[top]}")
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -147,6 +177,8 @@ def rule_det001(ctx: ModuleContext) -> list[Finding]:
                     emit(node, f"secrets.{name} is OS entropy; never replayable")
                 elif top == "uuid" and name in _ENTROPY_UUID_FUNCS:
                     emit(node, f"uuid.{name}() is nondeterministic")
+                elif origin in _BLOCKING_CALLS:
+                    emit(node, f"{origin}() {_LEAVES_SIM}")
             continue
         if not isinstance(func, ast.Attribute):
             continue
@@ -181,6 +213,8 @@ def rule_det001(ctx: ModuleContext) -> list[Finding]:
             emit(node, f"uuid.{attr}() is nondeterministic")
         elif receiver == "datetime" and attr in ("now", "utcnow", "today"):
             emit(node, f"datetime.{attr}() reads the wall clock")
+        elif f"{receiver}.{attr}" in _BLOCKING_CALLS:
+            emit(node, f"{receiver}.{attr}() {_LEAVES_SIM}")
         elif (
             isinstance(func.value, ast.Attribute)
             and func.value.attr == "random"
@@ -243,130 +277,6 @@ def rule_det002(ctx: ModuleContext) -> list[Finding]:
 
 
 # --------------------------------------------------------------------------
-# WIRE001 — wire-path classes declare slots and round-trip encode/decode
-# --------------------------------------------------------------------------
-
-#: Modules whose classes sit on the packet wire path.
-WIRE_MODULES = (
-    "repro/core/ilp.py",
-    "repro/core/packet.py",
-    "repro/core/crypto.py",
-    "repro/core/psp.py",
-    "repro/core/decision_cache.py",
-    "repro/core/pipe_terminus.py",
-)
-
-_EXEMPT_BASES = frozenset(
-    {
-        "Exception",
-        "Enum",
-        "IntEnum",
-        "IntFlag",
-        "Flag",
-        "Protocol",
-        "NamedTuple",
-        "TypedDict",
-    }
-)
-
-
-def _base_name(node: ast.expr) -> str:
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    return ""
-
-
-def _dataclass_decorator(node: ast.ClassDef) -> Optional[ast.expr]:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if _base_name(target) == "dataclass":
-            return decorator
-    return None
-
-
-def _has_instance_state(node: ast.ClassDef) -> bool:
-    """Does the class create per-instance attributes (``self.x = ...``)?"""
-    for stmt in node.body:
-        if isinstance(stmt, ast.FunctionDef):
-            for inner in ast.walk(stmt):
-                if isinstance(inner, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                    targets = (
-                        inner.targets
-                        if isinstance(inner, ast.Assign)
-                        else [inner.target]
-                    )
-                    for target in targets:
-                        if (
-                            isinstance(target, ast.Attribute)
-                            and isinstance(target.value, ast.Name)
-                            and target.value.id == "self"
-                        ):
-                            return True
-    return False
-
-
-def rule_wire001(ctx: ModuleContext) -> list[Finding]:
-    """WIRE001: slots + encode/decode pairing in wire-path modules."""
-    rel = ctx.rel_path.replace("\\", "/")
-    if not any(rel.endswith(suffix) for suffix in WIRE_MODULES):
-        return []
-    findings: list[Finding] = []
-
-    def emit(node: ast.AST, message: str) -> None:
-        found = ctx.finding(node, "WIRE001", message)
-        if found is not None:
-            findings.append(found)
-
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        base_names = {_base_name(base) for base in node.bases}
-        if base_names & _EXEMPT_BASES or any(
-            name.endswith("Error") for name in base_names
-        ):
-            continue
-        method_names = {
-            stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
-        }
-        if "encode" in method_names and "decode" not in method_names:
-            emit(node, f"class {node.name} has encode() but no decode()")
-        if "decode" in method_names and "encode" not in method_names:
-            emit(node, f"class {node.name} has decode() but no encode()")
-        decorator = _dataclass_decorator(node)
-        if decorator is not None:
-            slotted = isinstance(decorator, ast.Call) and any(
-                kw.arg == "slots"
-                and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True
-                for kw in decorator.keywords
-            )
-            if not slotted:
-                emit(
-                    node,
-                    f"wire-path dataclass {node.name} must declare "
-                    "slots=True (fixed layout, no stray attributes)",
-                )
-            continue
-        has_slots = any(
-            isinstance(stmt, ast.Assign)
-            and any(
-                isinstance(t, ast.Name) and t.id == "__slots__"
-                for t in stmt.targets
-            )
-            for stmt in node.body
-        )
-        if not has_slots and _has_instance_state(node):
-            emit(
-                node,
-                f"wire-path class {node.name} must declare __slots__ "
-                "(fixed layout, no stray attributes)",
-            )
-    return findings
-
-
-# --------------------------------------------------------------------------
 # RES001 — every watch registration has a matching teardown
 # --------------------------------------------------------------------------
 
@@ -423,84 +333,18 @@ def rule_res001(ctx: ModuleContext) -> list[Finding]:
     return findings
 
 
-# --------------------------------------------------------------------------
-# OBS001 — every begin_span call site has a matching end_span
-# --------------------------------------------------------------------------
-
-
-def rule_obs001(ctx: ModuleContext) -> list[Finding]:
-    """OBS001: flight-recorder spans are closed, per class.
-
-    Same ownership model as RES001: a class that calls ``begin_span()``
-    somewhere must also call ``end_span()`` somewhere (try/finally and
-    error paths included — the textual pairing is the invariant the rule
-    can check; the conformance suite checks the dynamic one). The class
-    *providing* the span API (it defines a ``begin_span`` method) is not
-    a consumer. Unclosed spans poison duration queries and leak the
-    trace's structure, so they must not ship.
-    """
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        method_names = {
-            stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
-        }
-        calls = _calls_in(node)
-        if "begin_span" not in calls:
-            continue
-        # The recorder class implementing the span API is not a consumer.
-        if "begin_span" in method_names:
-            continue
-        if "end_span" in calls:
-            continue
-        # Locate the first offending call for a precise location.
-        for inner in ast.walk(node):
-            if (
-                isinstance(inner, ast.Call)
-                and isinstance(inner.func, ast.Attribute)
-                and inner.func.attr == "begin_span"
-            ):
-                found = ctx.finding(
-                    inner,
-                    "OBS001",
-                    f"class {node.name} opens a span with begin_span() "
-                    "but never calls end_span(); spans must be closed "
-                    "on every path",
-                )
-                if found is not None:
-                    findings.append(found)
-                break
-    return findings
-
-
-from .iprules import (  # noqa: E402  (rule catalog assembly)
-    rule_det003,
-    rule_evt001,
-    rule_ledger001,
-)
+from .iprules import rule_det003, rule_ledger001  # noqa: E402  (catalog assembly)
 
 #: Per-module rules first, then the whole-program (interprocedural) ones.
-ALL_RULES = (
-    rule_det001,
-    rule_det002,
-    rule_wire001,
-    rule_res001,
-    rule_obs001,
-    rule_evt001,
-    rule_det003,
-    rule_ledger001,
-)
+ALL_RULES = (rule_det001, rule_det002, rule_res001, rule_det003, rule_ledger001)
 
 RULE_DOCS = {
     "DET001": "no unseeded nondeterminism (global RNG, wall clock, "
-    "entropy, builtin hash) outside blessed seeded wrappers",
+    "entropy, builtin hash) outside blessed seeded wrappers, and no "
+    "blocking/out-of-simulation primitive (sockets, subprocess, threads, "
+    "asyncio, time.sleep) or pickle anywhere in non-test code",
     "DET002": "no cross-module reach-ins to private attributes",
-    "WIRE001": "wire-path classes declare slots and pair encode/decode",
     "RES001": "every watch registration has a matching teardown",
-    "OBS001": "every begin_span call site has a matching end_span",
-    "EVT001": "[whole-program] nothing transitively reachable from an "
-    "event-loop callback may block or read the wall clock",
     "DET003": "[whole-program] RNG seeds must dataflow from parameters, "
     "config fields, or literals — never entropy or set/dict iteration",
     "LEDGER001": "[whole-program] every *Stats counter has a write site "

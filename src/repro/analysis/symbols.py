@@ -1,10 +1,9 @@
-"""Whole-program symbol table and call graph over the analyzed tree.
+"""Whole-program symbol table over the analyzed tree.
 
-The per-module rules (DET001…OBS001) see one file at a time; the
-interprocedural rules (:mod:`repro.analysis.iprules`) need to know *who
-calls whom across the whole program* — a wall-clock read is just as
-fatal three calls deep inside an event callback as it is inline. This
-module builds that view:
+The per-module rules (DET001, DET002, RES001) see one file at a time; the
+interprocedural rules (:mod:`repro.analysis.iprules`) need facts that
+span files — which class a counter write lands on, what an imported name
+really is. This module builds that view:
 
 * a **symbol table**: every module, class, function, and method under
   the analyzed roots, keyed by dotted qualname
@@ -15,30 +14,19 @@ module builds that view:
   ``self.x = ClassName(...)`` assignments, and attribute chains rooted
   at ``self`` or a typed local (``self.net.sim`` resolves through
   ``Network.sim: Simulator``);
-* **call edges**: direct calls, constructor calls (edge to
-  ``__init__``), and method calls through inferred receivers (walking
-  base classes);
-* **callback-registration edges**: arguments handed to the event-loop
-  registration APIs — ``Simulator.schedule/schedule_at/post/post_at``
-  (and the ``ServiceContext``/``EnvHandle`` delegates of the same
-  name), ``Timer``/``PeriodicTask`` constructors, core-store
-  ``watch``/``watch_prefix``/``watch_group``, and pipe
-  ``set_transmit`` handlers — are resolved to their target functions
-  and treated as calls-from-the-event-loop;
-* **external calls**: calls that resolve to an imported module rather
-  than project code are recorded with their dotted name
-  (``time.sleep``, ``random.Random``) for the purity rules.
+* **attribute writes**: every ``recv.attr = / += …`` store with the
+  receiver's inferred class (``None`` when it cannot be inferred), plus
+  the keyword arguments of project-class constructor calls;
+* **external calls**: calls that resolve through the imports to a module
+  outside the project are recorded with their dotted name
+  (``random.Random``, ``zlib.crc32``).
 
-Soundness caveats (documented, deliberate): resolution is
-*conservative* — a method call through a receiver whose type cannot be
-inferred produces **no** edge (never a guessed one), dynamic dispatch
-through ``getattr`` is invisible, and module-level statements are not
-graphed. Class names are resolved through imports first, then by
-program-wide unique bare name. The interprocedural rules therefore
-under-approximate reachability but never invent it; the registration
-APIs are matched by name even on untyped receivers so event-callback
-*roots* are over-approximated instead (better to vet too many
-callbacks for purity than too few).
+There are no call edges: nothing here knows who calls whom, so no rule
+can reason about reachability. Resolution is *conservative* — a receiver
+whose type cannot be inferred is reported as unknown (never guessed),
+dynamic dispatch through ``getattr`` is invisible, and module-level
+statements are not walked. Class names are resolved through imports
+first, then by program-wide unique bare name.
 """
 
 from __future__ import annotations
@@ -50,22 +38,6 @@ from typing import Optional, Union
 from .engine import ModuleContext
 
 FunctionDefLike = Union[ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda]
-
-#: Event-loop registration APIs: method (or constructor) name -> index of
-#: the callback argument in the call's positional args, and its keyword
-#: name. ``Timer``/``PeriodicTask`` are constructors; the rest methods.
-REGISTRATION_APIS: dict[str, tuple[int, str]] = {
-    "schedule": (1, "callback"),
-    "schedule_at": (1, "callback"),
-    "post": (1, "callback"),
-    "post_at": (1, "callback"),
-    "watch": (1, "callback"),
-    "watch_prefix": (1, "callback"),
-    "watch_group": (1, "callback"),
-    "set_transmit": (0, "transmit"),
-    "Timer": (1, "callback"),
-    "PeriodicTask": (2, "callback"),
-}
 
 
 def module_name_for(rel_path: str) -> str:
@@ -96,18 +68,10 @@ def module_name_for(rel_path: str) -> str:
 
 @dataclass(slots=True)
 class ExternalCall:
-    """A call that resolved to an imported module, e.g. ``time.sleep``."""
+    """A call that resolved to an imported module, e.g. ``random.Random``."""
 
     dotted: str
     node: ast.Call
-
-
-@dataclass(slots=True)
-class CallEdge:
-    """A resolved project-internal call from one function to another."""
-
-    target: str  # callee qualname
-    node: ast.AST
 
 
 @dataclass(slots=True)
@@ -117,16 +81,6 @@ class AttrWrite:
     attr: str
     receiver_class: Optional[str]  # class qualname when inferred, else None
     node: ast.AST
-
-
-@dataclass(slots=True)
-class Registration:
-    """A callback handed to an event-loop registration API."""
-
-    api: str  # the REGISTRATION_APIS key that matched
-    callback: Optional[str]  # resolved callback qualname, None if opaque
-    registrar: str  # qualname of the function containing the call
-    node: ast.Call
 
 
 @dataclass(slots=True)
@@ -147,19 +101,13 @@ class FunctionInfo:
     module: "ModuleInfo"
     node: FunctionDefLike
     class_qual: Optional[str] = None
-    calls: list[CallEdge] = field(default_factory=list)
     external_calls: list[ExternalCall] = field(default_factory=list)
-    registrations: list[Registration] = field(default_factory=list)
     attr_writes: list[AttrWrite] = field(default_factory=list)
-
-    @property
-    def short_name(self) -> str:
-        return self.qualname.rsplit(".", 1)[-1]
 
 
 @dataclass(slots=True)
 class ClassInfo:
-    """One class: methods, annotated attributes, bases."""
+    """One class: annotated attributes and bases."""
 
     qualname: str
     name: str
@@ -167,7 +115,6 @@ class ClassInfo:
     node: ast.ClassDef
     bases: list[str] = field(default_factory=list)  # resolved qualnames
     base_exprs: list[ast.expr] = field(default_factory=list)
-    methods: dict[str, str] = field(default_factory=dict)
     #: attribute -> annotation expression (resolved lazily to a class)
     attr_annotations: dict[str, ast.expr] = field(default_factory=dict)
     #: attribute -> resolved class qualname (filled in the resolve pass)
@@ -175,11 +122,10 @@ class ClassInfo:
     #: annotated field -> (annotation source text, AnnAssign node) —
     #: dataclass fields and class-body AnnAssigns, for the ledger rule.
     fields: dict[str, tuple[str, ast.AnnAssign]] = field(default_factory=dict)
-    is_dataclass: bool = False
 
 
 class ModuleInfo:
-    """Per-module symbol and import facts feeding the program graph."""
+    """Per-module symbol and import facts feeding the symbol table."""
 
     __slots__ = (
         "name",
@@ -203,15 +149,14 @@ class ModuleInfo:
         self.constants: dict[str, ast.expr] = {}
 
 
-class ProgramGraph:
-    """The whole-program symbol table plus resolved call/callback edges."""
+class SymbolTable:
+    """The whole-program symbol table plus per-function resolved facts."""
 
     def __init__(self, contexts: list[ModuleContext]) -> None:
         self.modules: dict[str, ModuleInfo] = {}
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self._class_by_name: dict[str, list[str]] = {}
-        self.registrations: list[Registration] = []
         self.ledger_decls: list[LedgerDecl] = []
         for ctx in contexts:
             self._index_module(ctx)
@@ -219,12 +164,10 @@ class ProgramGraph:
         for info in list(self.functions.values()):
             # Nested defs are walked by their enclosing function's visitor
             # (which carries closure-local types and the enclosing class),
-            # never independently — walking both would duplicate edges.
+            # never independently — walking both would duplicate facts.
             if ".<locals>." in info.qualname:
                 continue
-            _EdgeVisitor(self, info).run()
-        for info in self.functions.values():
-            self.registrations.extend(info.registrations)
+            _BodyVisitor(self, info).run()
 
     # -- indexing ----------------------------------------------------------
     def _index_module(self, ctx: ModuleContext) -> None:
@@ -292,7 +235,6 @@ class ProgramGraph:
             )
             self.functions[qual] = info
             if class_info is not None:
-                class_info.methods.setdefault(stmt.name, qual)
                 self._note_self_assignments(class_info, stmt)
             elif prefix == mod.name:
                 mod.top_defs[stmt.name] = qual
@@ -308,7 +250,6 @@ class ProgramGraph:
                 module=mod,
                 node=stmt,
                 base_exprs=list(stmt.bases),
-                is_dataclass=_is_dataclass(stmt),
             )
             self.classes[qual] = cls
             self._class_by_name.setdefault(stmt.name, []).append(qual)
@@ -463,24 +404,6 @@ class ProgramGraph:
             return candidates[0]
         return None
 
-    def method_on(self, class_qual: str, name: str) -> Optional[str]:
-        """Qualname of ``name`` on the class or its resolved bases (DFS)."""
-        seen: set[str] = set()
-        stack = [class_qual]
-        while stack:
-            qual = stack.pop()
-            if qual in seen:
-                continue
-            seen.add(qual)
-            cls = self.classes.get(qual)
-            if cls is None:
-                continue
-            found = cls.methods.get(name)
-            if found is not None:
-                return found
-            stack.extend(cls.bases)
-        return None
-
     def attr_type_on(self, class_qual: str, attr: str) -> Optional[str]:
         """Resolved type of ``attr`` on the class or its bases."""
         seen: set[str] = set()
@@ -499,56 +422,6 @@ class ProgramGraph:
             stack.extend(cls.bases)
         return None
 
-    # -- export ------------------------------------------------------------
-    def to_json_dict(self) -> dict[str, object]:
-        """A deterministic JSON-serializable dump of the graph."""
-        functions = sorted(self.functions)
-        classes = {
-            qual: {
-                "bases": sorted(cls.bases),
-                "methods": dict(sorted(cls.methods.items())),
-                "attr_types": dict(sorted(cls.attr_types.items())),
-                "fields": sorted(cls.fields),
-            }
-            for qual, cls in sorted(self.classes.items())
-        }
-        edges = [
-            {
-                "from": info.qualname,
-                "to": edge.target,
-                "line": getattr(edge.node, "lineno", 0),
-            }
-            for _, info in sorted(self.functions.items())
-            for edge in info.calls
-        ]
-        external = [
-            {
-                "from": info.qualname,
-                "to": call.dotted,
-                "line": call.node.lineno,
-            }
-            for _, info in sorted(self.functions.items())
-            for call in info.external_calls
-        ]
-        registrations = [
-            {
-                "api": reg.api,
-                "callback": reg.callback,
-                "registrar": reg.registrar,
-                "line": reg.node.lineno,
-            }
-            for reg in self.registrations
-        ]
-        return {
-            "modules": sorted(self.modules),
-            "functions": functions,
-            "classes": classes,
-            "edges": edges,
-            "external_calls": external,
-            "registrations": registrations,
-        }
-
-
 def _dotted_name(expr: ast.expr) -> Optional[str]:
     parts: list[str] = []
     node = expr
@@ -561,25 +434,16 @@ def _dotted_name(expr: ast.expr) -> Optional[str]:
     return ".".join(reversed(parts))
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        name = _dotted_name(target)
-        if name is not None and name.rsplit(".", 1)[-1] == "dataclass":
-            return True
-    return False
+class _BodyVisitor:
+    """Resolve one function's external calls and attribute writes."""
 
-
-class _EdgeVisitor:
-    """Resolve one function's calls, registrations, and attribute writes."""
-
-    def __init__(self, graph: ProgramGraph, info: FunctionInfo) -> None:
-        self.graph = graph
+    def __init__(self, table: SymbolTable, info: FunctionInfo) -> None:
+        self.table = table
         self.info = info
         self.mod = info.module
         #: local name -> resolved class qualname
         self.local_types: dict[str, str] = {}
-        #: nested def name -> qualname (visible callback targets)
+        #: nested def name -> qualname (shadows imports and class names)
         self.local_defs: dict[str, str] = {}
 
     # -- type inference ----------------------------------------------------
@@ -593,7 +457,7 @@ class _EdgeVisitor:
             + list(node.args.kwonlyargs)
         ):
             if arg.annotation is not None:
-                resolved = self.graph._resolve_class_expr(arg.annotation, self.mod)
+                resolved = self.table._resolve_class_expr(arg.annotation, self.mod)
                 if resolved is not None:
                     self.local_types[arg.arg] = resolved
 
@@ -607,7 +471,7 @@ class _EdgeVisitor:
             base = self.infer_type(expr.value)
             if base is None:
                 return None
-            return self.graph.attr_type_on(base, expr.attr)
+            return self.table.attr_type_on(base, expr.attr)
         if isinstance(expr, ast.Call):
             return self._constructor_class(expr)
         return None
@@ -615,12 +479,12 @@ class _EdgeVisitor:
     def _constructor_class(self, call: ast.Call) -> Optional[str]:
         func = call.func
         if isinstance(func, ast.Name):
-            resolved = self.graph.resolve_class_name(func.id, self.mod)
+            resolved = self.table.resolve_class_name(func.id, self.mod)
             if resolved is not None and func.id not in self.local_defs:
                 return resolved
             return None
         if isinstance(func, ast.Attribute):
-            return self.graph._resolve_class_expr(func, self.mod)
+            return self.table._resolve_class_expr(func, self.mod)
         return None
 
     # -- walking -----------------------------------------------------------
@@ -633,11 +497,11 @@ class _EdgeVisitor:
 
     def _walk(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            # Nested def: its body is its own graph node, but remember the
-            # name so a later ``schedule(dt, tick)`` resolves to it.
+            # Nested def: its body is its own table entry; remember the
+            # name so a later call to it is not mistaken for an import.
             qual = f"{self.info.qualname}.<locals>.{node.name}"
             self.local_defs[node.name] = qual
-            nested = self.graph.functions.get(qual)
+            nested = self.table.functions.get(qual)
             if nested is None:
                 nested = FunctionInfo(
                     qualname=qual,
@@ -645,12 +509,12 @@ class _EdgeVisitor:
                     node=node,
                     class_qual=self.info.class_qual,
                 )
-                self.graph.functions[qual] = nested
+                self.table.functions[qual] = nested
             elif nested.class_qual is None:
                 # Indexed without closure context; a closure over ``self``
                 # still belongs to the enclosing method's class.
                 nested.class_qual = self.info.class_qual
-            visitor = _EdgeVisitor(self.graph, nested)
+            visitor = _BodyVisitor(self.table, nested)
             visitor.local_types.update(self.local_types)
             visitor.local_defs.update(self.local_defs)
             visitor._seed_param_types()
@@ -659,15 +523,15 @@ class _EdgeVisitor:
             return
         if isinstance(node, ast.Lambda):
             qual = f"{self.info.qualname}.<locals>.<lambda:{node.lineno}>"
-            if qual not in self.graph.functions:
+            if qual not in self.table.functions:
                 nested = FunctionInfo(
                     qualname=qual,
                     module=self.mod,
                     node=node,
                     class_qual=self.info.class_qual,
                 )
-                self.graph.functions[qual] = nested
-                visitor = _EdgeVisitor(self.graph, nested)
+                self.table.functions[qual] = nested
+                visitor = _BodyVisitor(self.table, nested)
                 visitor.local_types.update(self.local_types)
                 visitor.local_defs.update(self.local_defs)
                 visitor._walk(node.body)
@@ -681,7 +545,7 @@ class _EdgeVisitor:
         elif isinstance(node, ast.AugAssign):
             self._note_attr_write(node.target)
         elif isinstance(node, ast.Call):
-            self._resolve_call(node)
+            self._note_call(node)
         for child in ast.iter_child_nodes(node):
             self._walk(child)
 
@@ -699,7 +563,7 @@ class _EdgeVisitor:
     def _note_annassign(self, node: ast.AnnAssign) -> None:
         self._note_attr_write(node.target)
         if isinstance(node.target, ast.Name):
-            resolved = self.graph._resolve_class_expr(node.annotation, self.mod)
+            resolved = self.table._resolve_class_expr(node.annotation, self.mod)
             if resolved is not None:
                 self.local_types[node.target.id] = resolved
 
@@ -714,170 +578,66 @@ class _EdgeVisitor:
             )
 
     # -- call resolution ---------------------------------------------------
-    def _resolve_call(self, call: ast.Call) -> None:
+    def _note_call(self, call: ast.Call) -> None:
+        """Resolve a callee through the imports, never through a receiver.
+
+        A call that lands outside the project is recorded as an
+        :class:`ExternalCall`; the keyword arguments of a project class
+        constructor count as attribute writes (``FooStats(hits=n)``).
+        """
         func = call.func
         if isinstance(func, ast.Name):
-            self._resolve_name_call(call, func.id)
+            name = func.id
+            if name in self.local_defs:
+                return
+            target = dotted = self.mod.top_defs.get(name)
+            if dotted is None:
+                dotted = self.mod.import_names.get(name)
+                if dotted is None:
+                    return
+                # ``from repro.netsim import Timer`` may name a re-export.
+                target = self._project_symbol(
+                    dotted
+                ) or self.table.resolve_class_name(name, self.mod)
         elif isinstance(func, ast.Attribute):
-            self._resolve_attr_call(call, func)
-
-    def _resolve_name_call(self, call: ast.Call, name: str) -> None:
-        if name in self.local_defs:
-            self._add_edge(self.local_defs[name], call)
-            return
-        top = self.mod.top_defs.get(name)
-        if top is not None:
-            if top in self.classes_of_graph():
-                self._on_constructor(call, top)
-            else:
-                self._add_edge(top, call)
-            return
-        origin = self.mod.import_names.get(name)
-        if origin is not None:
-            target = self._project_symbol(origin)
-            if target is not None:
-                if target in self.graph.classes:
-                    self._on_constructor(call, target)
-                elif target in self.graph.functions:
-                    self._add_edge(target, call)
+            path = _dotted_name(func)
+            if path is None:
                 return
-            # Re-exported project class (``from repro.netsim import Timer``).
-            resolved = self.graph.resolve_class_name(name, self.mod)
-            if resolved is not None:
-                self._on_constructor(call, resolved)
-                return
-            self.info.external_calls.append(ExternalCall(origin, call))
-            return
-        if name in ("hash", "id"):
-            self.info.external_calls.append(
-                ExternalCall(f"builtins.{name}", call)
-            )
-
-    def classes_of_graph(self) -> dict[str, ClassInfo]:
-        return self.graph.classes
-
-    def _resolve_attr_call(self, call: ast.Call, func: ast.Attribute) -> None:
-        dotted = _dotted_name(func)
-        if dotted is not None:
-            head, _, rest = dotted.partition(".")
+            head, _, rest = path.partition(".")
             target_mod = self.mod.import_modules.get(head)
             if (
-                target_mod is not None
-                and rest
-                and head not in self.local_types
-                and head != "self"
+                target_mod is None
+                or not rest
+                or head in self.local_types
+                or head == "self"
             ):
-                full = f"{target_mod}.{rest}"
-                target = self._project_symbol(full)
-                if target is not None:
-                    if target in self.graph.classes:
-                        self._on_constructor(call, target)
-                    elif target in self.graph.functions:
-                        self._add_edge(target, call)
-                else:
-                    self.info.external_calls.append(ExternalCall(full, call))
                 return
-        receiver_type = self.infer_type(func.value)
-        attr = func.attr
-        if receiver_type is not None:
-            target = self.graph.method_on(receiver_type, attr)
-            if target is not None:
-                self._add_edge(target, call)
-                if attr in REGISTRATION_APIS:
-                    self._on_registration(call, attr)
-                return
-            return  # typed receiver without the method: no edge, no guess
-        if attr in REGISTRATION_APIS and attr not in ("Timer", "PeriodicTask"):
-            # Unknown receiver calling a registration-shaped method: treat
-            # as a registration so callback roots are over- not
-            # under-approximated.
-            self._on_registration(call, attr)
-
-    def _on_constructor(self, call: ast.Call, class_qual: str) -> None:
-        init = self.graph.method_on(class_qual, "__init__")
-        if init is not None:
-            self._add_edge(init, call)
-        cls = self.graph.classes.get(class_qual)
-        if cls is not None:
-            if cls.name in ("Timer", "PeriodicTask"):
-                self._on_registration(call, cls.name, constructor=True)
+            dotted = f"{target_mod}.{rest}"
+            target = self._project_symbol(dotted)
+        else:
+            return
+        if target is None:
+            self.info.external_calls.append(ExternalCall(dotted, call))
+        elif target in self.table.classes:
             for kw in call.keywords:
                 if kw.arg is not None:
                     self.info.attr_writes.append(
-                        AttrWrite(attr=kw.arg, receiver_class=class_qual, node=call)
+                        AttrWrite(attr=kw.arg, receiver_class=target, node=call)
                     )
 
     def _project_symbol(self, dotted: str) -> Optional[str]:
         """Map a fully dotted name onto a project class/function, if any."""
-        if dotted in self.graph.classes or dotted in self.graph.functions:
+        if dotted in self.table.classes or dotted in self.table.functions:
             return dotted
         head, _, tail = dotted.rpartition(".")
-        mod = self.graph.modules.get(head)
+        mod = self.table.modules.get(head)
         if mod is not None:
             qual = f"{mod.name}.{tail}"
-            if qual in self.graph.classes or qual in self.graph.functions:
+            if qual in self.table.classes or qual in self.table.functions:
                 return qual
             # The name exists in a project module but is not a class/def
             # (a constant, a re-export): try the unique-name fallback.
-            resolved = self.graph.resolve_class_name(tail, mod)
+            resolved = self.table.resolve_class_name(tail, mod)
             if resolved is not None:
                 return resolved
         return None
-
-    def _on_registration(
-        self, call: ast.Call, api: str, constructor: bool = False
-    ) -> None:
-        index, kwname = REGISTRATION_APIS[api]
-        callback_expr: Optional[ast.expr] = None
-        if len(call.args) > index:
-            callback_expr = call.args[index]
-        else:
-            for kw in call.keywords:
-                if kw.arg == kwname:
-                    callback_expr = kw.value
-                    break
-        if callback_expr is None:
-            return
-        callback = self._resolve_callback(callback_expr)
-        self.info.registrations.append(
-            Registration(
-                api=api,
-                callback=callback,
-                registrar=self.info.qualname,
-                node=call,
-            )
-        )
-
-    def _resolve_callback(self, expr: ast.expr) -> Optional[str]:
-        if isinstance(expr, ast.Lambda):
-            return f"{self.info.qualname}.<locals>.<lambda:{expr.lineno}>"
-        if isinstance(expr, ast.Name):
-            if expr.id in self.local_defs:
-                return self.local_defs[expr.id]
-            top = self.mod.top_defs.get(expr.id)
-            if top is not None and top in self.graph.functions:
-                return top
-            origin = self.mod.import_names.get(expr.id)
-            if origin is not None:
-                return self._project_symbol(origin)
-            return None
-        if isinstance(expr, ast.Attribute):
-            receiver_type = self.infer_type(expr.value)
-            if receiver_type is not None:
-                return self.graph.method_on(receiver_type, expr.attr)
-            dotted = _dotted_name(expr)
-            if dotted is not None:
-                head, _, rest = dotted.partition(".")
-                target_mod = self.mod.import_modules.get(head)
-                if target_mod is not None and rest:
-                    return self._project_symbol(f"{target_mod}.{rest}")
-            return None
-        return None
-
-    def _add_edge(self, target: str, node: ast.AST) -> None:
-        self.info.calls.append(CallEdge(target=target, node=node))
-
-
-def build_program(contexts: list[ModuleContext]) -> ProgramGraph:
-    """Build the whole-program graph over already-parsed module contexts."""
-    return ProgramGraph(contexts)

@@ -19,6 +19,9 @@ We model an enclave as a wrapper around a service module that:
 from __future__ import annotations
 
 import hashlib
+# _cross serializes to model the SEV page copy and only ever unpickles the
+# blob it just sealed itself (ROADMAP 4c owns replacing it).
+# repro: allow(DET001)
 import pickle
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional

@@ -124,8 +124,8 @@ _WIRE_FIELDS = frozenset(("service_id", "connection_id", "flags", "tlvs"))
 
 @dataclass
 # dict-backed by design: the encode() memo lives in __dict__ (see
-# __setattr__/__getstate__); slots would break the wire cache.
-# repro: allow(WIRE001)
+# __setattr__/__getstate__); slots would break the wire cache (the one
+# exception in tests/test_ilp_packet.py::TestWireClassLayout).
 class ILPHeader:
     """Decoded ILP header.
 

@@ -10,7 +10,7 @@ inputs), and the neutrality audit trail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Any, Optional
 
 from ..obs import MetricsRegistry, merged_registry, to_json, to_table
@@ -84,21 +84,15 @@ def snapshot_sn(sn: ServiceNode) -> SNSnapshot:
     stats = sn.terminus.stats
     miss_stats = sn.terminus.miss_queue.stats
     guard = sn.terminus.overload
-    # Every drop exit the datapath has: terminus counters (including the
-    # offload stage and the overload layer's shed/degraded exits) plus
-    # packets discarded from the miss queue on crash. Shed *followers* are
-    # already inside drops_shed, so miss_stats.shed is not added again.
-    drops = (
-        stats.drops_no_peer
-        + stats.drops_auth
-        + stats.drops_malformed
-        + stats.drops_no_service
-        + stats.drops_by_decision
-        + stats.drops_by_offload
-        + stats.drops_by_service
-        + stats.drops_shed
-        + stats.drops_degraded
-        + miss_stats.dropped
+    # Every drop exit the datapath has is a ``drops_*`` field of the
+    # terminus ledger — summed by name prefix so a new counter cannot be
+    # forgotten — plus packets discarded from the miss queue on crash.
+    # Shed *followers* are already inside drops_shed, so miss_stats.shed
+    # is not added again.
+    drops = miss_stats.dropped + sum(
+        getattr(stats, spec.name)
+        for spec in fields(stats)
+        if spec.name.startswith("drops_")
     )
     breaker_states = guard.state_counts()
     if sn.health is not None:
@@ -274,16 +268,15 @@ class FederationMonitor:
         """The merged metrics of every obs-armed SN (None when none are).
 
         Histograms merge bucket-exactly, so the federation-level
-        percentiles carry the same error bound as any single SN's.
+        percentiles carry the same error bound as any single SN's; the
+        counters are each SN's stats ledgers as of this call.
         """
-        registries = [
-            sn.obs.registry
-            for sn in self.net.all_sns()
-            if sn.obs is not None
-        ]
-        if not registries:
+        armed = [sn.obs for sn in self.net.all_sns() if sn.obs is not None]
+        if not armed:
             return None
-        return merged_registry(registries)
+        for obs in armed:
+            obs.collect()
+        return merged_registry(obs.registry for obs in armed)
 
     def obs_json(self) -> Optional[str]:
         """JSON snapshot of the federation-wide merged obs metrics."""

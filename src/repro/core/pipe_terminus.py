@@ -320,6 +320,7 @@ class TerminusStats:
     drops_by_service: int = 0
     drops_shed: int = 0  # refused by admission control under overload
     drops_degraded: int = 0  # resolved fail-closed by a degradation mode
+    drops_no_route: int = 0  # egress: no PSP association with the next hop
 
 
 class PipeTerminus:
@@ -499,6 +500,12 @@ class PipeTerminus:
             self.miss_queue.check_drained()
         recorder.end_span(burst_span)
         stats.packets_in += n_in
+        if _san.ENABLED:
+            # Every packet that ever arrived met exactly one first fate; a
+            # short-circuited punt is booked on the overload guard's ledger.
+            _san.check_ledger(
+                stats, "packet-fate-ledger", live=self.overload.stats.short_circuits
+            )
         return n_in
 
     # -- decide -----------------------------------------------------------
@@ -658,8 +665,6 @@ class PipeTerminus:
                 guard.stats.shed_groups += 1
                 if n > 1:
                     queue.shed(n - 1)
-                if self.obs is not None:
-                    self.obs.sheds.inc(n)
                 if rec:
                     recorder.event("overload.shed", peer=peer, n=n)
                 continue
@@ -914,9 +919,6 @@ class PipeTerminus:
                 and not guard.breakers[service_id].allow(now)
             ):
                 guard.stats.short_circuits += 1
-                if obs is not None:
-                    obs.short_circuits.inc()
-                    obs.breakers_open.set(float(guard.open_count()))
                 if recorder.recording:
                     recorder.event(
                         "overload.short_circuit", service=service_id, n=1
@@ -966,7 +968,6 @@ class PipeTerminus:
                 waited = deadlines[pos] or 0.0
                 self.pending_delay += waited
                 if obs is not None:
-                    obs.deadline_misses.inc()
                     obs.punt_latency.record(share + waited)
                 if recorder.recording:
                     recorder.event(
@@ -984,11 +985,8 @@ class PipeTerminus:
             else:
                 billed += 1
                 tripped = breaker is not None and breaker.record_error(now)
-            if tripped:
-                if obs is not None:
-                    obs.breaker_trips.inc()
-                if recorder.recording:
-                    recorder.event("overload.breaker_open", service=service_id)
+            if tripped and recorder.recording:
+                recorder.event("overload.breaker_open", service=service_id)
             if policy is not None:
                 self._degrade(policy, header, packet)
             else:
@@ -1088,7 +1086,7 @@ class PipeTerminus:
         ctx = self.keystore.contexts.get(peer)
         stats = self.stats
         if ctx is None:
-            stats.drops_no_peer += sum(len(item[2]) for item in items)
+            stats.drops_no_route += sum(len(item[2]) for item in items)
             return 0
         if _san.ENABLED:
             # One check per item: its payloads share a single wire form.

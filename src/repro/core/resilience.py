@@ -328,11 +328,6 @@ class ResilienceAgent:
             return  # crashed SNs miss control-plane pushes; restart resyncs
         self.resync()
 
-    def _count_retry(self, delay: float) -> None:
-        obs = self.sn.obs
-        if obs is not None:
-            obs.retries.inc()
-
     def resync(self) -> None:
         """Recompute this SN's border-peer table from the store.
 
@@ -348,20 +343,17 @@ class ResilienceAgent:
             lambda: store.get("resilience/border"),
             retry_on=(CoreStoreError,),
             stats=self.retry_stats,
-            on_backoff=self._count_retry,
         )
         for key in retry_call(
             lambda: store.keys("resilience/remote-border/"),
             retry_on=(CoreStoreError,),
             stats=self.retry_stats,
-            on_backoff=self._count_retry,
         ):
             remote = key.rsplit("/", 1)[1]
             remote_border = retry_call(
                 lambda key=key: store.get(key),
                 retry_on=(CoreStoreError,),
                 stats=self.retry_stats,
-                on_backoff=self._count_retry,
             )
             if remote_border is None:
                 continue

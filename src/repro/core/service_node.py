@@ -30,12 +30,12 @@ from ..obs import enabled_from_env as _obs_enabled_from_env
 from .attestation import SoftwareTPM
 from .decision_cache import CacheKey, Decision, DecisionCache
 from .execution_env import ExecutionEnvironment
-from .ilp import ILPHeader, TLV
+from .ilp import ILPError, ILPHeader, TLV
 from .ipc import CostModel, InvocationMode
 from .overload import AdmissionConfig, ServicePolicy
 from .packet import ILPPacket, Payload, RawIPPacket
 from .pipe_terminus import PipeTerminus
-from .psp import PeerKeyStore, pairwise_secret
+from .psp import PeerKeyStore, PSPError, pairwise_secret
 from .resilience import KeepaliveFrame, PipeHealthMonitor
 
 
@@ -233,11 +233,38 @@ class ServiceNode(NetNode):
                 sample_every=sample_every,
             )
             self.obs = NodeObs(recorder, MetricsRegistry())
+            self.obs.collect = self._collect_obs
             self.terminus.obs = self.obs
             self.terminus.recorder = recorder
             self.terminus.channel.recorder = recorder
             self.env.set_recorder(recorder)
         return self.obs
+
+    def _collect_obs(self) -> None:
+        """Copy the stats ledgers into the obs registry (export time only).
+
+        ``overload.sheds`` / ``breaker_trips`` / ``retries`` /
+        ``breakers_open`` are the names dashboards already read, derived
+        here from the ledgers that own them; ``breaker_trips`` therefore
+        restarts with the breakers on a crash.
+        """
+        assert self.obs is not None
+        registry = self.obs.registry
+        terminus = self.terminus
+        guard = terminus.overload
+        registry.publish("terminus", terminus.stats)
+        registry.publish("cache", self.cache.stats)
+        registry.publish("miss_queue", terminus.miss_queue.stats)
+        registry.publish("overload", guard.stats)
+        registry.counter("overload.sheds").value = guard.stats.shed_packets
+        registry.counter("overload.breaker_trips").value = sum(
+            breaker.stats.trips for breaker in guard.breakers.values()
+        )
+        agent = self.resilience_agent
+        registry.counter("overload.retries").value = (
+            agent.retry_stats.retries if agent is not None else 0
+        )
+        registry.gauge("overload.breakers_open").set(guard.open_count())
 
     # -- resilience ---------------------------------------------------------
     def enable_health_monitor(
@@ -380,38 +407,51 @@ class ServiceNode(NetNode):
             self.raw_packets_forwarded += 1
 
     def _handle_pass_through(self, packet: ILPPacket) -> None:
-        """Terminate ILP, run imposed services, forward (§3.2)."""
+        """Terminate ILP, run imposed services, forward (§3.2).
+
+        Books the same first-fate ledger as the terminus ingress: a cache
+        hit is ``fast_path``, a chain run is the gateway's slow path
+        (``punts``).
+        """
         assert self.pass_through is not None
-        self.terminus.stats.packets_in += 1
+        stats = self.terminus.stats
+        stats.packets_in += 1
         cfg = self.pass_through
         peer = packet.l3.src
         if not self.keystore.has(peer):
-            self.terminus.stats.drops_no_peer += 1
+            stats.drops_no_peer += 1
             return
         try:
-            header = ILPHeader.decode(self.keystore.get(peer).open(packet.ilp_wire))
-        except Exception:
-            self.terminus.stats.drops_auth += 1
+            plain = self.keystore.get(peer).open(packet.ilp_wire)
+        except PSPError:
+            stats.drops_auth += 1
+            return
+        try:
+            header = ILPHeader.decode(plain)
+        except ILPError:
+            stats.drops_malformed += 1
             return
         inbound = peer == cfg.next_hop
         key = CacheKey(peer, header.service_id, header.connection_id)
         cached = self.cache.lookup(key, now=self.sim.now)
         self.terminus.pending_delay = self.cost_model.terminus_latency
         if cached is not None:
+            stats.fast_path += 1
             self.terminus.apply_decision(cached, header, packet.payload)
             return
+        stats.punts += 1
         current = header
         for module in cfg.chain:
             result = module.impose(current, packet.payload, inbound)
             if result is None:
                 self.cache.install(key, Decision.drop(), now=self.sim.now)
-                self.terminus.stats.drops_by_decision += 1
+                stats.drops_by_decision += 1
                 return
             current = result
         if inbound:
             target = current.get_str(TLV.DEST_ADDR)
             if target is None or target not in self._associated_hosts:
-                self.terminus.stats.drops_no_peer += 1
+                stats.drops_no_route += 1
                 return
         else:
             target = cfg.next_hop

@@ -24,6 +24,7 @@ globally with ``REPRO_OBS=1`` in the environment.
 from __future__ import annotations
 
 import os
+from typing import Callable
 
 from .export import merged_registry, snapshot_dict, to_json, to_table
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry, ObsError
@@ -62,40 +63,27 @@ class NodeObs:
 
     Built by :meth:`ServiceNode.enable_observability`, which threads the
     recorder through the terminus, invocation channel, execution
-    environment, and enclaves. The two hot histograms — and the overload
-    counters the slow path bumps under pressure — are cached as
-    attributes so the datapath records without a registry lookup.
+    environment, and enclaves. Only the two hot histograms are recorded
+    on the datapath (cached as attributes, so no registry lookup); every
+    counter keeps its one home on a ``*Stats`` ledger and reaches the
+    registry when an export calls :attr:`collect`.
     """
 
-    __slots__ = (
-        "recorder",
-        "registry",
-        "terminus_latency",
-        "punt_latency",
-        "sheds",
-        "deadline_misses",
-        "short_circuits",
-        "breaker_trips",
-        "retries",
-        "breakers_open",
-    )
+    __slots__ = ("recorder", "registry", "terminus_latency", "punt_latency", "collect")
 
     def __init__(self, recorder: FlightRecorder, registry: MetricsRegistry) -> None:
         self.recorder = recorder
         self.registry = registry
         self.terminus_latency = registry.histogram("terminus.latency")
         self.punt_latency = registry.histogram("punt.latency")
-        # Overload-resilience surface: all zero (and the gauge flat) unless
-        # the node's OverloadGuard is actually configured and tripping.
-        self.sheds = registry.counter("overload.sheds")
-        self.deadline_misses = registry.counter("overload.deadline_misses")
-        self.short_circuits = registry.counter("overload.short_circuits")
-        self.breaker_trips = registry.counter("overload.breaker_trips")
-        self.retries = registry.counter("overload.retries")
-        self.breakers_open = registry.gauge("overload.breakers_open")
+        #: Copies the owning node's stats ledgers into ``registry``; the
+        #: node installs it, every export calls it first.
+        self.collect: Callable[[], None] = lambda: None
 
     def export_json(self, include_spans: bool = False) -> str:
+        self.collect()
         return to_json(self.registry, self.recorder, include_spans=include_spans)
 
     def export_table(self, title: str = "node observability") -> str:
+        self.collect()
         return to_table(self.registry, self.recorder, title=title)

@@ -25,8 +25,9 @@ re-nests for export.
 
 from __future__ import annotations
 
+import dataclasses
 import math
-from typing import Iterable, Optional, Union
+from typing import Any, Iterable, Optional, Union
 
 
 class ObsError(Exception):
@@ -251,6 +252,15 @@ class MetricsRegistry:
                 f"metric {name!r} is a {type(metric).__name__}, not a Histogram"
             )
         return metric
+
+    def publish(self, prefix: str, stats: Any) -> None:
+        """Mirror every field of a ``*Stats`` dataclass as ``prefix.<field>``.
+
+        The ledger stays the counter's one home; the registry holds the
+        value it had at the last publish.
+        """
+        for spec in dataclasses.fields(stats):
+            self.counter(f"{prefix}.{spec.name}").value = getattr(stats, spec.name)
 
     def names(self) -> list[str]:
         return sorted(self._metrics)

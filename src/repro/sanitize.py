@@ -83,14 +83,31 @@ def fail(check: str, detail: str) -> None:
 
 #: Declarative conservation ledgers: stats-class name -> (total field,
 #: exit fields). The invariant is ``total == sum(exits) + live`` where
-#: ``live`` is passed by the call site (in-flight units not yet booked to
-#: an exit). The static analyzer (LEDGER001) cross-checks every field
+#: ``live`` is passed by the call site (units the class itself does not
+#: book to an exit: packets still parked, or exits that live on another
+#: ledger). The static analyzer (LEDGER001) cross-checks every field
 #: named here against the class definition, so a renamed counter breaks
 #: the build instead of silently voiding the runtime check.
 CONSERVATION_LEDGERS = {
     "MissQueueStats": (
         "offered",
         ("drained_fast", "replayed", "spilled", "shed", "dropped"),
+    ),
+    # The packet-fate law: every arrival's *first* disposition, exactly
+    # once. ``live`` carries ``OverloadStats.short_circuits`` — a punt an
+    # open breaker resolved without crossing is booked on the guard.
+    "TerminusStats": (
+        "packets_in",
+        (
+            "drops_no_peer",
+            "drops_auth",
+            "drops_malformed",
+            "fast_path",
+            "offload_path",
+            "drops_by_offload",
+            "drops_shed",
+            "punts",
+        ),
     ),
 }
 

@@ -10,17 +10,60 @@ plus the extend log needed for verification.
 
 from __future__ import annotations
 
-import pickle
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-from ..core.attestation import AttestationVerifier, Quote
+from ..core.attestation import N_PCRS, AttestationError, AttestationVerifier, Quote
 from ..core.ilp import Flags, ILPHeader, TLV
 from ..core.packet import Payload, make_payload
 from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
 
 OP_CHALLENGE = b"challenge"
 OP_QUOTE = b"quote"
+
+_LOG_ENTRY = 33  # u8 PCR index + 32 B measurement
+
+
+def encode_quote_reply(quote: Quote, extend_log: list[tuple[int, bytes]]) -> bytes:
+    """Quote reply wire form: the four :class:`Quote` fields, each behind a
+    u16 length, then a u16 count of ``(u8 pcr, 32 B digest)`` log entries."""
+    fields = (quote.tpm_public, quote.nonce, quote.pcr_digest, quote.signature)
+    parts = [struct.pack("!H", len(value)) + value for value in fields]
+    parts.append(struct.pack("!H", len(extend_log)))
+    parts.extend(bytes((pcr,)) + digest for pcr, digest in extend_log)
+    return b"".join(parts)
+
+
+def decode_quote_reply(data: bytes) -> tuple[Quote, list[tuple[int, bytes]]]:
+    """Inverse of :func:`encode_quote_reply` for bytes off the network.
+
+    Raises :class:`AttestationError` on short or trailing input and on a
+    PCR index no TPM has.
+    """
+    fields: list[bytes] = []
+    pos = 0
+    try:
+        for _ in range(4):
+            (size,) = struct.unpack_from("!H", data, pos)
+            pos += 2
+            if pos + size > len(data):
+                raise AttestationError("quote reply truncated")
+            fields.append(data[pos : pos + size])
+            pos += size
+        (count,) = struct.unpack_from("!H", data, pos)
+    except struct.error:
+        raise AttestationError("quote reply truncated") from None
+    pos += 2
+    if len(data) - pos != count * _LOG_ENTRY:
+        raise AttestationError("quote reply length disagrees with its log count")
+    extend_log = [
+        (data[at], data[at + 1 : at + _LOG_ENTRY])
+        for at in range(pos, len(data), _LOG_ENTRY)
+    ]
+    if any(pcr >= N_PCRS for pcr, _ in extend_log):
+        raise AttestationError("quote reply names a PCR no TPM has")
+    return Quote(*fields), extend_log
 
 
 class AttestationService(ServiceModule):
@@ -44,10 +87,7 @@ class AttestationService(ServiceModule):
             return Verdict.drop()
         tpm = self.ctx.node.env.tpm
         quote = tpm.quote(nonce)
-        blob = pickle.dumps(
-            {"quote": quote, "extend_log": list(tpm.extend_log)},
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+        blob = encode_quote_reply(quote, tpm.extend_log)
         self.quotes_issued += 1
         reply = ILPHeader(
             service_id=self.SERVICE_ID,
@@ -96,10 +136,8 @@ class AttestationClient:
         if header.tlvs.get(TLV.SERVICE_OPTS) != OP_QUOTE:
             return
         try:
-            data = pickle.loads(payload.data)
-            quote: Quote = data["quote"]
-            extend_log = data["extend_log"]
-        except Exception:
+            quote, extend_log = decode_quote_reply(payload.data)
+        except AttestationError:
             self._record(False)
             return
         self._record(

@@ -5,7 +5,10 @@ pass-through (operator-imposed) deployment shape.
 
 import pytest
 
-from repro import InterEdge, WellKnownService
+from repro import InterEdge, WellKnownService, sanitize
+from repro.core.ilp import ILPHeader, TLV
+from repro.core.monitoring import snapshot_sn
+from repro.core.packet import ILPPacket, L3Header, make_payload
 from repro.core.service_module import Standardization
 from repro.netsim import Link
 from repro.services import (
@@ -175,6 +178,17 @@ class TestPassThrough:
         )
         return edge_sn, gateway, inside
 
+    @staticmethod
+    def _check_fates(gateway):
+        """The gateway ingress books the terminus' packet-fate ledger."""
+        terminus = gateway.terminus
+        sanitize.check_ledger(
+            terminus.stats,
+            "pass-through-fates",
+            live=terminus.overload.stats.short_circuits,
+        )
+        return terminus.stats
+
     def test_allowed_traffic_passes_through_to_next_hop(self, two_edomain_net):
         net = two_edomain_net
         edge_sn, gateway, inside = self._enterprise(net)
@@ -185,6 +199,7 @@ class TestPassThrough:
         inside.send(conn, b"allowed")
         net.run(1.0)
         assert [p.data for _, p in outside.delivered] == [b"allowed"]
+        assert self._check_fates(gateway).punts >= 1
 
     def test_imposed_firewall_blocks_banned_destination(self, two_edomain_net):
         net = two_edomain_net
@@ -196,6 +211,8 @@ class TestPassThrough:
         net.run(1.0)
         assert gateway.terminus.stats.drops_by_decision == 1
         assert edge_sn.terminus.stats.packets_in == 0
+        stats = self._check_fates(gateway)
+        assert (stats.packets_in, stats.punts, stats.fast_path) == (1, 1, 0)
 
     def test_pass_through_caches_decision(self, two_edomain_net):
         net = two_edomain_net
@@ -209,6 +226,11 @@ class TestPassThrough:
         net.run(1.0)
         assert gateway.cache.stats.hits == 3
         assert len(outside.delivered) == 4
+        # A hit is a fast-path packet and a chain run is the gateway's slow
+        # path, so its fast-path fraction is no longer 0/0.
+        before = self._check_fates(gateway)
+        assert (before.fast_path, before.punts) == (3, 1)
+        assert snapshot_sn(gateway).fast_path_fraction == 0.75
 
     def test_inbound_traffic_reaches_inside_host(self, two_edomain_net):
         net = two_edomain_net
@@ -226,3 +248,41 @@ class TestPassThrough:
         outside.send(conn, b"inbound")
         net.run(1.0)
         assert [p.data for _, p in inside.delivered if p.data] == [b"inbound"]
+        self._check_fates(gateway)
+
+    def test_malformed_and_forged_headers_are_told_apart(self, two_edomain_net):
+        net = two_edomain_net
+        _edge_sn, gateway, inside = self._enterprise(net)
+        ctx = inside.keystore.get(gateway.address)
+        l3 = L3Header(src=inside.address, dst=gateway.address)
+        sealed_junk = ILPPacket(l3=l3, ilp_wire=ctx.seal(b"\x01"), payload=make_payload(b""))
+        forged = ILPPacket(l3=l3, ilp_wire=b"\x00" * 48, payload=make_payload(b""))
+        stranger = ILPPacket(
+            l3=L3Header(src="198.51.100.9", dst=gateway.address),
+            ilp_wire=b"",
+            payload=make_payload(b""),
+        )
+        for packet in (sealed_junk, forged, stranger):
+            gateway.handle_frame(packet, None)
+        stats = self._check_fates(gateway)
+        assert stats.drops_malformed == 1  # authenticated, but not ILP
+        assert stats.drops_auth == 1
+        assert stats.drops_no_peer == 1
+        assert stats.packets_in == 3
+
+    def test_inbound_to_unknown_host_is_an_egress_drop(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, _inside = self._enterprise(net)
+        header = ILPHeader(service_id=WellKnownService.IP_DELIVERY, connection_id=9)
+        header.tlvs[TLV.DEST_ADDR] = b"10.10.0.99"  # nobody behind the gateway
+        wire = edge_sn.keystore.get(gateway.address).seal(header.encode())
+        gateway.handle_frame(
+            ILPPacket(
+                l3=L3Header(src=edge_sn.address, dst=gateway.address),
+                ilp_wire=wire,
+                payload=make_payload(b"x"),
+            ),
+            None,
+        )
+        stats = self._check_fates(gateway)
+        assert (stats.punts, stats.drops_no_route, stats.drops_no_peer) == (1, 1, 0)

@@ -308,6 +308,45 @@ class TestOverloadSoak:
         report = FederationMonitor(handles.net).collect()
         assert report.total_drops == 0
 
+    def test_federation_export_equals_the_stats_ledgers(self, monkeypatch):
+        """One home per counter: with obs armed on every SN, the merged
+        ``overload.*`` export is the sum of the ledgers that own the
+        counts — nothing is bumped twice, nothing can drift."""
+        monkeypatch.setenv("REPRO_OBS", "1")
+        handles, _injector, victim, _delivered = _overload_chaos_run()
+        sns = handles.sns
+        assert all(sn.obs is not None for sn in sns)
+        merged = FederationMonitor(handles.net).obs_registry()
+        guards = [sn.terminus.overload for sn in sns]
+
+        def exported(name):
+            return merged.get(f"overload.{name}").value
+
+        assert exported("sheds") == sum(g.stats.shed_packets for g in guards)
+        assert exported("deadline_misses") == sum(
+            g.stats.deadline_misses for g in guards
+        )
+        assert exported("short_circuits") == sum(
+            g.stats.short_circuits for g in guards
+        )
+        assert exported("breaker_trips") == sum(
+            b.stats.trips for g in guards for b in g.breakers.values()
+        )
+        assert exported("retries") == sum(
+            sn.resilience_agent.retry_stats.retries
+            for sn in sns
+            if sn.resilience_agent is not None
+        )
+        assert exported("breakers_open") == sum(g.open_count() for g in guards)
+        # The soak exercised them: the export is not trivially all zeros.
+        assert exported("deadline_misses") == victim.terminus.overload.stats.deadline_misses > 0
+        assert exported("short_circuits") > 0 and exported("breaker_trips") >= 1
+        # The packet and cache counters ride the same export.
+        assert merged.get("terminus.packets_in").value == sum(
+            sn.terminus.stats.packets_in for sn in sns
+        )
+        assert merged.get("cache.hits").value == sum(sn.cache.stats.hits for sn in sns)
+
     def test_overload_soak_is_deterministic(self):
         """Same plan seed ⇒ identical degradation, breaker timeline, and
         delivery outcome — overload handling replays bit-identically."""

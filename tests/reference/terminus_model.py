@@ -149,7 +149,7 @@ class ReferenceTerminus:
     def _transmit(self, peer: str, header: ILPHeader, payload: Payload) -> None:
         """Seal for ``peer`` and send — recorded here as what ``peer`` opens."""
         if peer not in self.contexts:
-            self.stats["drops_no_peer"] += 1
+            self.stats["drops_no_route"] += 1
             return
         self.stats["packets_out"] += 1
         self.out.append(

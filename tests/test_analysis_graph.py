@@ -1,24 +1,21 @@
-"""Tests for the whole-program symbol table and call graph.
+"""Tests for the whole-program symbol table.
 
-The interprocedural rules are only as good as the graph under them, so
+The interprocedural rules are only as good as the table under them, so
 the resolution machinery gets its own suite: module naming, symbol
-indexing, method-call edges through annotated receivers, dataclass-field
-and ``self.x = ...`` type inference, callback-registration edges
-(including ``Timer``/``PeriodicTask`` constructors, ``watch_prefix`` on
-untyped receivers, ``set_transmit`` lambdas, and nested closures), and
-the soundness contract that an un-inferable receiver produces *no* edge
-rather than a guessed one.
+indexing, import-resolved external calls, and receiver-type inference
+(annotated parameters, dataclass fields, ``self.x = ...`` assignments,
+attribute chains, base classes) as seen through the attribute writes the
+ledger rule consumes — including the soundness contract that an
+un-inferable receiver is reported as unknown rather than guessed.
 """
 
 from __future__ import annotations
 
-import json
 import textwrap
 from pathlib import Path
 
-from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.engine import ModuleContext, build_program_for_paths
-from repro.analysis.graph import build_program, module_name_for
+from repro.analysis.engine import ModuleContext
+from repro.analysis.symbols import SymbolTable, module_name_for
 
 
 def _write(tmp_path: Path, name: str, body: str) -> Path:
@@ -28,19 +25,20 @@ def _write(tmp_path: Path, name: str, body: str) -> Path:
     return path
 
 
-def _program(tmp_path: Path, **modules: str):
+def _program(tmp_path: Path, **modules: str) -> SymbolTable:
     contexts = []
     for name, body in modules.items():
         path = _write(tmp_path, f"{name}.py", body)
         contexts.append(
             ModuleContext(path, f"{name}.py", path.read_text(encoding="utf-8"))
         )
-    return build_program(contexts)
+    return SymbolTable(contexts)
 
 
-def _edges(program, qualname: str) -> set[str]:
+def _writes(program: SymbolTable, qualname: str) -> set[tuple[str, str | None]]:
+    """``(attr, receiver class)`` of every attribute write in a function."""
     info = program.functions[qualname]
-    return {edge.target for edge in info.calls}
+    return {(write.attr, write.receiver_class) for write in info.attr_writes}
 
 
 class TestModuleNames:
@@ -72,20 +70,25 @@ class TestSymbolTable:
         )
         assert "mod.helper" in program.functions
         assert "mod.Box" in program.classes
-        assert program.classes["mod.Box"].methods["get"] == "mod.Box.get"
+        assert program.functions["mod.Box.get"].class_qual == "mod.Box"
+        assert program.functions["mod.helper"].class_qual is None
 
     def test_nested_def_qualname(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
+            import zlib
+
             def outer():
-                def inner():
-                    pass
-                inner()
+                def inner(data):
+                    return zlib.crc32(data)
+                inner(b"")
             """,
         )
-        assert "mod.outer.<locals>.inner" in program.functions
-        assert _edges(program, "mod.outer") == {"mod.outer.<locals>.inner"}
+        nested = program.functions["mod.outer.<locals>.inner"]
+        # The nested body is its own entry; its facts are not the outer's.
+        assert [c.dotted for c in nested.external_calls] == ["zlib.crc32"]
+        assert program.functions["mod.outer"].external_calls == []
 
     def test_dataclass_fields_recorded(self, tmp_path):
         program = _program(
@@ -100,145 +103,11 @@ class TestSymbolTable:
             """,
         )
         cls = program.classes["mod.FooStats"]
-        assert cls.is_dataclass
         assert set(cls.fields) == {"hits", "notes"}
         assert cls.fields["hits"][0] == "int"
 
 
-class TestMethodEdges:
-    def test_annotated_parameter_receiver(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Cache:
-                def get(self):
-                    return None
-
-            def probe(cache: Cache):
-                return cache.get()
-            """,
-        )
-        assert _edges(program, "mod.probe") == {"mod.Cache.get"}
-
-    def test_cross_module_annotated_receiver(self, tmp_path):
-        program = _program(
-            tmp_path,
-            store="""
-            class Store:
-                def lookup(self, key):
-                    return None
-            """,
-            user="""
-            from store import Store
-
-            def fetch(store: Store, key):
-                return store.lookup(key)
-            """,
-        )
-        assert _edges(program, "user.fetch") == {"store.Store.lookup"}
-
-    def test_self_attribute_from_annotated_param(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Clock:
-                def now(self):
-                    return 0.0
-
-            class Node:
-                def __init__(self, clock: Clock):
-                    self.clock = clock
-
-                def stamp(self):
-                    return self.clock.now()
-            """,
-        )
-        assert _edges(program, "mod.Node.stamp") == {"mod.Clock.now"}
-
-    def test_self_attribute_from_constructor_assignment(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Queue:
-                def push(self, item):
-                    pass
-
-            class Node:
-                def __init__(self):
-                    self.queue = Queue()
-
-                def enqueue(self, item):
-                    self.queue.push(item)
-            """,
-        )
-        assert "mod.Queue.push" in _edges(program, "mod.Node.enqueue")
-
-    def test_attribute_chain_through_typed_fields(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Sim:
-                def now(self):
-                    return 0.0
-
-            class Net:
-                sim: Sim
-
-            class Node:
-                net: Net
-
-                def stamp(self):
-                    return self.net.sim.now()
-            """,
-        )
-        assert _edges(program, "mod.Node.stamp") == {"mod.Sim.now"}
-
-    def test_constructor_call_edges_to_init(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Widget:
-                def __init__(self):
-                    self.n = 0
-
-            def make():
-                return Widget()
-            """,
-        )
-        assert _edges(program, "mod.make") == {"mod.Widget.__init__"}
-
-    def test_inherited_method_resolves_through_base(self, tmp_path):
-        program = _program(
-            tmp_path,
-            mod="""
-            class Base:
-                def run(self):
-                    pass
-
-            class Child(Base):
-                pass
-
-            def go(c: Child):
-                c.run()
-            """,
-        )
-        assert _edges(program, "mod.go") == {"mod.Base.run"}
-
-    def test_untyped_receiver_produces_no_edge(self, tmp_path):
-        # Soundness: never guess an edge from an un-inferable receiver.
-        program = _program(
-            tmp_path,
-            mod="""
-            class Cache:
-                def get(self):
-                    return None
-
-            def probe(cache):
-                return cache.get()
-            """,
-        )
-        assert _edges(program, "mod.probe") == set()
-
+class TestImportResolution:
     def test_external_call_recorded_with_dotted_name(self, tmp_path):
         program = _program(
             tmp_path,
@@ -252,209 +121,188 @@ class TestMethodEdges:
         info = program.functions["mod.digest"]
         assert [c.dotted for c in info.external_calls] == ["zlib.crc32"]
 
-
-class TestRegistrations:
-    def test_typed_engine_schedule(self, tmp_path):
+    def test_aliases_and_from_imports_resolve_to_their_origin(self, tmp_path):
         program = _program(
             tmp_path,
-            engine="""
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-            """,
-            worker="""
-            from engine import Engine
+            mod="""
+            import random as rnd
+            from random import Random as R
 
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    pass
+            def make(seed):
+                return rnd.Random(seed), R(seed)
             """,
         )
-        regs = {(r.api, r.callback) for r in program.registrations}
-        assert ("schedule", "worker.Worker.tick") in regs
-        # The registration is also a call edge into the engine.
-        assert "engine.Engine.schedule" in _edges(program, "worker.Worker.start")
+        info = program.functions["mod.make"]
+        assert [c.dotted for c in info.external_calls] == ["random.Random"] * 2
 
-    def test_timer_and_periodic_task_constructors(self, tmp_path):
+    def test_project_calls_are_not_external(self, tmp_path):
         program = _program(
             tmp_path,
-            timers="""
-            class Timer:
-                def __init__(self, delay, callback):
-                    pass
+            util="""
+            def helper():
+                pass
 
-            class PeriodicTask:
-                def __init__(self, engine, period, callback):
-                    pass
+            class Widget:
+                def __init__(self, n=0):
+                    self.n = n
             """,
             user="""
-            from timers import PeriodicTask, Timer
+            import util
+            from util import Widget, helper
 
-            class Daemon:
-                def arm(self, engine):
-                    Timer(0.5, self.fire)
-                    PeriodicTask(engine, 1.0, self.poll)
-
-                def fire(self):
-                    pass
-
-                def poll(self):
-                    pass
+            def go():
+                helper()
+                util.helper()
+                return util.Widget(), Widget(n=3)
             """,
         )
-        regs = {(r.api, r.callback) for r in program.registrations}
-        assert ("Timer", "user.Daemon.fire") in regs
-        assert ("PeriodicTask", "user.Daemon.poll") in regs
+        info = program.functions["user.go"]
+        assert info.external_calls == []
+        # A project constructor's keyword counts as a write on that class.
+        assert _writes(program, "user.go") == {("n", "util.Widget")}
 
-    def test_watch_prefix_on_untyped_receiver_over_approximates(self, tmp_path):
-        # The receiver's type is unknown, but watch_prefix is
-        # registration-shaped: the root set must include the callback.
+    def test_local_def_shadows_an_import(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Agent:
-                def attach(self, store):
-                    store.watch_prefix("resilience/", self.on_update)
+            from zlib import crc32
 
-                def on_update(self, key, op, value):
-                    pass
+            def outer(data):
+                def crc32(blob):
+                    return 0
+                return crc32(data)
             """,
         )
-        regs = {(r.api, r.callback) for r in program.registrations}
-        assert ("watch_prefix", "mod.Agent.on_update") in regs
+        assert program.functions["mod.outer"].external_calls == []
 
-    def test_set_transmit_lambda(self, tmp_path):
+
+class TestReceiverInference:
+    def test_annotated_parameter_receiver(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Bridge:
-                def wire(self, pipe):
-                    pipe.set_transmit(lambda data: self.push(data))
+            class Cache:
+                hits: int = 0
 
-                def push(self, data):
-                    pass
+            def probe(cache: Cache):
+                cache.hits += 1
             """,
         )
-        lambdas = [
-            r.callback
-            for r in program.registrations
-            if r.api == "set_transmit" and r.callback is not None
-        ]
-        assert len(lambdas) == 1
-        assert "<lambda:" in lambdas[0]
-        # The lambda body's calls were graphed under the lambda node.
-        assert _edges(program, lambdas[0]) == {"mod.Bridge.push"}
+        assert _writes(program, "mod.probe") == {("hits", "mod.Cache")}
 
-    def test_nested_closure_callback(self, tmp_path):
+    def test_cross_module_annotated_receiver(self, tmp_path):
+        program = _program(
+            tmp_path,
+            store="""
+            class Store:
+                reads: int = 0
+            """,
+            user="""
+            from store import Store
+
+            def fetch(store: Store, key):
+                store.reads += 1
+            """,
+        )
+        assert _writes(program, "user.fetch") == {("reads", "store.Store")}
+
+    def test_self_attribute_from_annotated_param(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
+            class Clock:
+                ticks: int = 0
 
-            class Monitor:
-                def start(self, eng: Engine):
-                    def tick():
-                        self.poll()
-                    eng.schedule(1.0, tick)
+            class Node:
+                def __init__(self, clock: Clock):
+                    self.clock = clock
 
-                def poll(self):
-                    pass
+                def stamp(self):
+                    self.clock.ticks += 1
             """,
         )
-        regs = {(r.api, r.callback) for r in program.registrations}
-        assert ("schedule", "mod.Monitor.start.<locals>.tick") in regs
-        assert _edges(program, "mod.Monitor.start.<locals>.tick") == {
-            "mod.Monitor.poll"
-        }
+        assert _writes(program, "mod.Node.stamp") == {("ticks", "mod.Clock")}
 
-    def test_callback_by_keyword_argument(self, tmp_path):
+    def test_self_attribute_from_constructor_assignment(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Engine:
-                def post(self, delay, callback):
-                    pass
+            class Queue:
+                depth: int = 0
 
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.post(1.0, callback=self.tick)
+            class Node:
+                def __init__(self):
+                    self.queue = Queue()
 
-                def tick(self):
-                    pass
+                def enqueue(self, item):
+                    self.queue.depth += 1
             """,
         )
-        regs = {(r.api, r.callback) for r in program.registrations}
-        assert ("post", "mod.Worker.tick") in regs
+        assert _writes(program, "mod.Node.enqueue") == {("depth", "mod.Queue")}
 
-    def test_opaque_callback_recorded_as_unresolved(self, tmp_path):
+    def test_attribute_chain_through_typed_fields(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Relay:
-                def attach(self, store, handler):
-                    store.watch("key", handler)
+            class Sim:
+                now: float = 0.0
+
+            class Net:
+                sim: Sim
+
+            class Node:
+                net: Net
+
+                def stamp(self):
+                    self.net.sim.now = 1.0
             """,
         )
-        regs = [(r.api, r.callback) for r in program.registrations]
-        assert ("watch", None) in regs
+        assert _writes(program, "mod.Node.stamp") == {("now", "mod.Sim")}
 
-
-class TestGraphExport:
-    def test_json_dict_shape(self, tmp_path):
+    def test_inherited_attribute_resolves_through_base(self, tmp_path):
         program = _program(
             tmp_path,
             mod="""
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
+            class Stats:
+                runs: int = 0
 
-            def boot(eng: Engine):
-                eng.schedule(0.0, boot)
-            """,
-        )
-        payload = program.to_json_dict()
-        assert "mod.boot" in payload["functions"]
-        assert any(e["to"] == "mod.Engine.schedule" for e in payload["edges"])
-        assert any(
-            r["api"] == "schedule" and r["callback"] == "mod.boot"
-            for r in payload["registrations"]
-        )
-        # Deterministic: a second export is byte-identical.
-        assert json.dumps(payload, sort_keys=True) == json.dumps(
-            program.to_json_dict(), sort_keys=True
-        )
+            class Base:
+                stats: Stats
 
-    def test_build_program_for_paths(self, tmp_path):
-        _write(tmp_path, "pkg/a.py", "def f():\n    pass\n")
-        _write(tmp_path, "pkg/broken.py", "def oops(:\n")
-        program = build_program_for_paths([tmp_path], root=tmp_path)
-        # The broken file is skipped, the good one indexed.
-        assert any(q.endswith("a.f") for q in program.functions)
-
-    def test_cli_graph_json_stdout(self, tmp_path, capsys):
-        _write(
-            tmp_path,
-            "mod.py",
-            """
-            def f():
-                g()
-
-            def g():
+            class Child(Base):
                 pass
+
+            def go(c: Child):
+                c.stats.runs += 1
             """,
         )
-        assert analysis_main(["--graph-json", "-", str(tmp_path)]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert any(e["to"] == "mod.g" for e in payload["edges"])
+        assert _writes(program, "mod.go") == {("runs", "mod.Stats")}
 
-    def test_cli_graph_json_file(self, tmp_path):
-        _write(tmp_path, "mod.py", "def f():\n    pass\n")
-        out = tmp_path / "graph.json"
-        assert analysis_main(["--graph-json", str(out), str(tmp_path)]) == 0
-        payload = json.loads(out.read_text(encoding="utf-8"))
-        assert "mod.f" in payload["functions"]
+    def test_local_assigned_from_constructor_is_typed(self, tmp_path):
+        program = _program(
+            tmp_path,
+            mod="""
+            class Widget:
+                n: int = 0
+
+            def make():
+                w = Widget()
+                w.n = 3
+                return w
+            """,
+        )
+        assert _writes(program, "mod.make") == {("n", "mod.Widget")}
+
+    def test_untyped_receiver_is_unknown_not_guessed(self, tmp_path):
+        # Soundness: never guess a class from an un-inferable receiver.
+        program = _program(
+            tmp_path,
+            mod="""
+            class Cache:
+                hits: int = 0
+
+            def probe(cache):
+                cache.hits += 1
+            """,
+        )
+        assert _writes(program, "mod.probe") == {("hits", None)}

@@ -1,10 +1,9 @@
-"""Fixture tests for the interprocedural rules: EVT001, DET003, LEDGER001.
+"""Fixture tests for the interprocedural rules: DET003, LEDGER001.
 
 Mirrors the conventions of ``tests/test_analysis_rules.py``: every rule
 gets failing fixtures (the rule fires, with the right message), clean
-fixtures (the rule stays quiet), and waiver coverage. EVT001
-additionally proves the call chain in the finding message, and the
-analysis package is required to pass its own rules (self-analysis).
+fixtures (the rule stays quiet), and waiver coverage. The analysis
+package is required to pass its own rules (self-analysis).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ import textwrap
 from pathlib import Path
 
 from repro.analysis import analyze_file, analyze_paths
-from repro.analysis.rules import rule_det003, rule_evt001, rule_ledger001
+from repro.analysis.rules import rule_det003, rule_ledger001
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -27,220 +26,6 @@ def _write(tmp_path: Path, name: str, body: str) -> Path:
 
 def _codes(findings) -> list[str]:
     return [f.code for f in findings]
-
-
-class TestEVT001:
-    def test_blocking_call_in_callback_flagged(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    time.sleep(0.1)
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        assert "time.sleep() is a blocking primitive" in findings[0].message
-        assert "mod.Worker.tick" in findings[0].message
-
-    def test_transitive_reach_reports_full_chain(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def post(self, delay, callback):
-                    pass
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.post(1.0, self.tick)
-
-                def tick(self):
-                    self.step()
-
-                def step(self):
-                    self.slow()
-
-                def slow(self):
-                    time.sleep(0.1)
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        message = findings[0].message
-        assert (
-            "call chain: mod.Worker.tick -> mod.Worker.step -> mod.Worker.slow"
-            in message
-        )
-        assert "registered at" in message
-
-    def test_wall_clock_read_flagged(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    return time.monotonic()
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        assert "wall-clock" in findings[0].message
-
-    def test_unreachable_blocking_call_clean(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    pass
-
-                def offline_tool(self):
-                    # Never reachable from the callback: fine.
-                    time.sleep(1.0)
-            """,
-        )
-        assert analyze_file(path, rules=[rule_evt001]) == []
-
-    def test_untyped_receiver_still_roots_the_callback(self, tmp_path):
-        # Registration APIs match by name even when the receiver's type is
-        # unknown, so callback roots are over- not under-approximated.
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import subprocess
-
-            class Agent:
-                def attach(self, store):
-                    store.watch_prefix("resilience/", self.on_update)
-
-                def on_update(self, key, op, value):
-                    subprocess.run(["true"])
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        assert "subprocess.run()" in findings[0].message
-
-    def test_timer_constructor_roots_the_callback(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Timer:
-                def __init__(self, delay, callback):
-                    pass
-
-            class Daemon:
-                def arm(self):
-                    Timer(0.5, self.fire)
-
-                def fire(self):
-                    time.sleep(0.5)
-            """,
-        )
-        assert _codes(analyze_file(path, rules=[rule_evt001])) == ["EVT001"]
-
-    def test_nested_closure_callback_flagged(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            class Monitor:
-                def start(self, eng: Engine):
-                    def tick():
-                        self.poll()
-                    eng.schedule(1.0, tick)
-
-                def poll(self):
-                    time.sleep(0.1)
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        assert "mod.Monitor.start.<locals>.tick" in findings[0].message
-
-    def test_waiver_suppresses(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    # repro: allow(EVT001) wall-clock probe for a demo tool
-                    time.sleep(0.1)
-            """,
-        )
-        assert analyze_file(path, rules=[rule_evt001]) == []
-
-    def test_test_modules_exempt(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "test_mod.py",
-            """
-            import time
-
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-
-            def test_thing(eng: Engine):
-                eng.schedule(1.0, lambda: time.sleep(0.1))
-            """,
-        )
-        assert analyze_file(path, rules=[rule_evt001]) == []
 
 
 class TestDET003:
@@ -623,51 +408,6 @@ class TestLEDGER001:
 
 
 class TestCrossModule:
-    def test_evt001_across_modules(self, tmp_path):
-        _write(
-            tmp_path,
-            "engine.py",
-            """
-            class Engine:
-                def schedule(self, delay, callback):
-                    pass
-            """,
-        )
-        _write(
-            tmp_path,
-            "worker.py",
-            """
-            import time
-
-            from engine import Engine
-            from util import slow_sync
-
-            class Worker:
-                def start(self, eng: Engine):
-                    eng.schedule(1.0, self.tick)
-
-                def tick(self):
-                    slow_sync()
-            """,
-        )
-        _write(
-            tmp_path,
-            "util.py",
-            """
-            import time
-
-            def slow_sync():
-                time.sleep(0.5)
-            """,
-        )
-        findings = analyze_paths([tmp_path], rules=[rule_evt001])
-        assert _codes(findings) == ["EVT001"]
-        assert findings[0].path.endswith("util.py")
-        assert (
-            "call chain: worker.Worker.tick -> util.slow_sync"
-            in findings[0].message
-        )
-
     def test_ledger001_write_site_in_other_module(self, tmp_path):
         _write(
             tmp_path,

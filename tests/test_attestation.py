@@ -1,5 +1,7 @@
 """Unit tests for the software TPM and attestation verification."""
 
+import random
+
 import pytest
 
 from repro.core.attestation import (
@@ -13,6 +15,14 @@ from repro.core.attestation import (
     replay_pcrs,
 )
 from repro.core.crypto import SignatureRegistry
+from repro.core.ilp import ILPHeader, TLV
+from repro.core.packet import make_payload
+from repro.services.attest import (
+    OP_QUOTE,
+    AttestationClient,
+    decode_quote_reply,
+    encode_quote_reply,
+)
 
 
 @pytest.fixture
@@ -116,3 +126,67 @@ class TestQuoteVerification:
         golden.allow(PCR_SERVICES, measure(b"approved-module"))
         verifier = AttestationVerifier(registry, golden)
         assert not verifier.verify(quote, b"n", tpm.extend_log)
+
+
+class TestQuoteReplyWire:
+    """The quote reply crosses the network as typed bytes, never pickle."""
+
+    def _reply(self, tpm):
+        tpm.extend(PCR_BOOT, measure(b"boot"))
+        tpm.extend(PCR_SERVICES, measure(b"module"))
+        quote = tpm.quote(b"nonce-7")
+        return quote, encode_quote_reply(quote, tpm.extend_log)
+
+    def test_round_trip(self, tpm, registry):
+        quote, wire = self._reply(tpm)
+        decoded, extend_log = decode_quote_reply(wire)
+        assert decoded == quote
+        assert extend_log == tpm.extend_log
+        assert AttestationVerifier(registry).verify(decoded, b"nonce-7", extend_log)
+
+    def test_empty_log_round_trips(self):
+        quote = SoftwareTPM().quote(b"")
+        assert decode_quote_reply(encode_quote_reply(quote, [])) == (quote, [])
+
+    def test_every_truncation_is_rejected(self, tpm):
+        _quote, wire = self._reply(tpm)
+        for cut in range(len(wire)):
+            with pytest.raises(AttestationError):
+                decode_quote_reply(wire[:cut])
+
+    def test_trailing_bytes_are_rejected(self, tpm):
+        _quote, wire = self._reply(tpm)
+        with pytest.raises(AttestationError):
+            decode_quote_reply(wire + b"\x00")
+
+    def test_out_of_range_pcr_is_rejected(self, tpm):
+        quote, _wire = self._reply(tpm)
+        with pytest.raises(AttestationError):
+            decode_quote_reply(encode_quote_reply(quote, [(200, measure(b"x"))]))
+
+    def test_garbage_never_escapes_as_another_exception(self):
+        rng = random.Random(0x5EED)
+        for _ in range(500):
+            blob = rng.randbytes(rng.randrange(0, 96))
+            try:
+                decode_quote_reply(blob)
+            except AttestationError:
+                pass
+
+    def test_a_pickle_is_just_garbage_to_the_client(self):
+        """The old reply format must fail closed, not execute."""
+        import pickle
+
+        class _Host:
+            def on_service_control(self, service_id, handler):
+                self.deliver = handler
+
+        host = _Host()
+        client = AttestationClient(
+            host=host, verifier=AttestationVerifier(SignatureRegistry())
+        )
+        client.install()
+        header = ILPHeader(service_id=0, connection_id=1)
+        header.tlvs[TLV.SERVICE_OPTS] = OP_QUOTE
+        host.deliver(1, header, make_payload(pickle.dumps({"quote": 1})))
+        assert client.results == [False]

@@ -1,5 +1,10 @@
 """Unit tests for ILP headers and the packet model."""
 
+import dataclasses
+import enum
+import importlib
+import inspect
+
 import pytest
 
 from repro.core.ilp import Flags, ILPError, ILPHeader, TLV, new_connection_id
@@ -153,3 +158,33 @@ class TestPacketModel:
             l3=L3Header(src="10.0.0.1", dst="10.0.0.2"), payload=make_payload(b"")
         )
         assert p1.packet_id != p2.packet_id
+
+
+class TestWireClassLayout:
+    WIRE_MODULES = ("ilp", "packet", "crypto", "psp", "decision_cache", "pipe_terminus")
+    #: Dict-backed by design: ILPHeader's encode() memo lives in __dict__.
+    UNSLOTTED = {"ILPHeader"}
+
+    def test_wire_classes_have_fixed_layout_and_two_way_codecs(self):
+        """Checked on the imported classes, so it is exact: every class in
+        the six wire modules that holds per-instance state (a dataclass, or
+        one with its own ``__init__``) declares ``__slots__`` /
+        ``slots=True``, and ``encode`` never comes without ``decode``."""
+        unslotted = set()
+        codecs = []
+        for name in self.WIRE_MODULES:
+            module = importlib.import_module(f"repro.core.{name}")
+            for _, cls in inspect.getmembers(module, inspect.isclass):
+                if cls.__module__ != module.__name__ or issubclass(
+                    cls, (Exception, enum.Enum)
+                ):
+                    continue
+                own = vars(cls)
+                stateful = dataclasses.is_dataclass(cls) or "__init__" in own
+                if stateful and "__slots__" not in own:
+                    unslotted.add(cls.__name__)
+                if "encode" in own or "decode" in own:
+                    codecs.append(cls)
+                    assert "encode" in own and "decode" in own, cls.__name__
+        assert unslotted == self.UNSLOTTED
+        assert ILPHeader in codecs

@@ -450,6 +450,22 @@ class TestSnapshotDropAccounting:
         node.terminus.stats.drops_by_offload += 2
         assert snapshot_sn(node).drops == 2
 
+    def test_every_drop_counter_counts_in_snapshot(self):
+        """The sum is derived from the ledger's field names, so the next
+        ``drops_*`` counter cannot be forgotten (three already were)."""
+        from dataclasses import fields
+
+        node = ServiceNode(Simulator(), "sn", "10.0.0.1")
+        stats = node.terminus.stats
+        primes = iter((2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53))
+        by_name = {spec.name: next(primes) for spec in fields(stats)}
+        for name, value in by_name.items():
+            setattr(stats, name, value)
+        node.terminus.miss_queue.stats.dropped = 59
+        drop_names = [name for name in by_name if name.startswith("drops_")]
+        assert "drops_no_route" in drop_names and len(drop_names) == 10
+        assert snapshot_sn(node).drops == 59 + sum(by_name[n] for n in drop_names)
+
     def test_snapshot_without_obs_reports_zero_percentiles(self):
         snap = snapshot_sn(ServiceNode(Simulator(), "sn", "10.0.0.1"))
         assert snap.lat_p50 == snap.lat_p99 == snap.lat_p999 == 0.0

@@ -9,6 +9,9 @@ for the overload columns in :func:`repro.core.monitoring.snapshot_sn`
 
 from __future__ import annotations
 
+import json
+from dataclasses import asdict
+
 import pytest
 
 from repro.core.decision_cache import (
@@ -387,7 +390,7 @@ class TestTerminusOverload:
         assert guard.stats.deadline_misses == 1
         assert guard.stats.degraded_closed == 1
         assert rig.terminus.stats.drops_degraded == 1
-        assert obs.deadline_misses.value == 1
+        assert obs.punt_latency.count == 1  # the timed-out punt was sampled
         assert rig.sent == []
 
     def test_fail_open_forwards_to_designated_peer(self):
@@ -468,7 +471,6 @@ class TestTerminusOverload:
 
     def test_breaker_trip_short_circuit_and_recovery(self):
         rig = _PuntRig()
-        obs = rig.node.enable_observability()
         rig.node.env.inject_hang(VICTIM)
         rig.node.set_service_policy(
             VICTIM,
@@ -487,14 +489,12 @@ class TestTerminusOverload:
         rig.inject(conn=1)  # timeout -> trip
         breaker = rig.terminus.overload.breakers[VICTIM]
         assert breaker.state is BreakerState.OPEN
-        assert obs.breaker_trips.value == 1
+        assert breaker.stats.trips == 1
         punts_after_trip = rig.terminus.stats.punts
         rig.inject(conn=2)  # short-circuited, never invoked
         guard = rig.terminus.overload
         assert guard.stats.short_circuits == 1
         assert rig.terminus.stats.punts == punts_after_trip
-        assert obs.short_circuits.value == 1
-        assert obs.breakers_open.value == 1.0
         # Heal the service and let the open period elapse in sim time.
         cleared_at = rig.sim.now
         assert rig.node.env.clear_service_fault(VICTIM)
@@ -532,7 +532,6 @@ class TestTerminusOverload:
 
     def test_admission_sheds_cold_leads_only(self):
         rig = _PuntRig()
-        obs = rig.node.enable_observability()
         rig.node.enable_admission_control(
             AdmissionConfig(max_parked=64, punt_rate=1.0, punt_burst=1)
         )
@@ -543,8 +542,46 @@ class TestTerminusOverload:
         guard = rig.terminus.overload
         assert stats.drops_shed == 1
         assert guard.stats.shed_packets == 1
-        assert obs.sheds.value == 1
         assert stats.punts == 2  # the admitted lead and the barrier
+
+    def test_obs_export_equals_the_stats_ledgers(self):
+        """One home per counter: the registry only mirrors the ledgers."""
+        rig = _PuntRig()
+        obs = rig.node.enable_observability()
+        rig.node.env.inject_hang(VICTIM)
+        rig.node.set_service_policy(
+            VICTIM,
+            ServicePolicy(
+                deadline=1e-3,
+                breaker=BreakerConfig(
+                    min_samples=1, ewma_alpha=1.0, open_jitter=0.0
+                ),
+            ),
+        )
+        rig.node.enable_admission_control(
+            AdmissionConfig(max_parked=64, punt_rate=1.0, punt_burst=2)
+        )
+        rig.inject(conn=1)  # timeout -> breaker trips
+        rig.inject(conn=2)  # short-circuited by the open breaker
+        rig.inject(conn=3)  # shed: both burst tokens are spent
+        guard = rig.terminus.overload
+        exported = json.loads(obs.export_json())["metrics"]
+        for prefix, ledger in (
+            ("terminus", rig.terminus.stats),
+            ("cache", rig.node.cache.stats),
+            ("miss_queue", rig.terminus.miss_queue.stats),
+            ("overload", guard.stats),
+        ):
+            for name, value in asdict(ledger).items():
+                assert exported[prefix][name] == value, f"{prefix}.{name}"
+        overload = exported["overload"]
+        assert overload["deadline_misses"] == 1
+        assert overload["short_circuits"] == 1
+        assert overload["sheds"] == guard.stats.shed_packets == 1
+        assert overload["breaker_trips"] == guard.breakers[VICTIM].stats.trips == 1
+        assert overload["breakers_open"] == guard.open_count() == 1
+        assert overload["retries"] == 0  # no resilience agent on this rig
+        assert "overload.sheds" in obs.export_table()
 
     def test_crash_resets_breakers_and_clears_shelf(self):
         rig = _PuntRig()

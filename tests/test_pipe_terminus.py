@@ -196,7 +196,9 @@ class TestFastPath:
         fx = _Fixture()
         header = ILPHeader(service_id=42, connection_id=1)
         assert not fx.terminus.send("9.9.9.9", header, make_payload(b""))
-        assert fx.terminus.stats.drops_no_peer == 1
+        # An egress miss is not an ingress drop: it has its own counter.
+        assert fx.terminus.stats.drops_no_route == 1
+        assert fx.terminus.stats.drops_no_peer == 0
 
 
 class TestEvictionCorrectness:

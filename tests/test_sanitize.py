@@ -218,6 +218,58 @@ class TestMissQueueLedger:
         assert node.terminus.receive_batch([]) == 0
 
 
+class TestPacketFateLedger:
+    """Every arrival meets exactly one first fate; armed bursts check it."""
+
+    def _node(self):
+        from repro.core.service_node import ServiceNode
+        from repro.netsim import Simulator
+
+        return ServiceNode(Simulator(), "sn", "10.0.0.1")
+
+    def _stranger(self):
+        from repro.core.packet import ILPPacket, L3Header, make_payload
+
+        return ILPPacket(
+            l3=L3Header(src="198.51.100.9", dst="10.0.0.1"),
+            ilp_wire=b"",
+            payload=make_payload(b""),
+        )
+
+    def test_counted_drop_balances(self, armed):
+        node = self._node()
+        assert node.terminus.receive_batch([self._stranger()] * 3) == 3
+        assert node.terminus.stats.drops_no_peer == 3
+
+    def test_unbooked_fate_detected_when_armed(self, armed):
+        node = self._node()
+        node.terminus.stats.packets_in += 1  # an arrival nobody accounted for
+        with pytest.raises(sanitize.SanitizeError, match="packet-fate-ledger"):
+            node.terminus.receive_batch([self._stranger()])
+
+    def test_short_circuits_are_the_guard_ledgers_term(self, armed):
+        node = self._node()
+        node.terminus.stats.packets_in += 1
+        node.terminus.overload.stats.short_circuits += 1
+        assert node.terminus.receive_batch([]) == 0
+
+    def test_egress_miss_is_not_a_fate(self, armed):
+        # An unknown *next hop* drops an already-booked packet: it must
+        # not be booked under the ingress counter the ledger sums.
+        from repro.core.packet import make_payload
+
+        node = self._node()
+        header = ILPHeader(service_id=1, connection_id=1)
+        assert not node.terminus.send("203.0.113.1", header, make_payload(b""))
+        assert node.terminus.stats.drops_no_route == 1
+        assert node.terminus.receive_batch([]) == 0
+
+    def test_disarmed_skips_the_check(self, disarmed):
+        node = self._node()
+        node.terminus.stats.packets_in += 1
+        assert node.terminus.receive_batch([]) == 0
+
+
 class TestHeaderReencode:
     def test_fresh_encode_passes(self):
         header = ILPHeader(service_id=7, connection_id=42)
