@@ -81,9 +81,9 @@ def main() -> None:
     net.run(1.0)
     print(
         "imposed firewall drops to banned prefix:",
-        gateway.terminus.stats.drops_by_decision,
+        gateway.terminus.stats.drops_by_service,
     )
-    assert gateway.terminus.stats.drops_by_decision == 1
+    assert gateway.terminus.stats.drops_by_service == 1
 
 
 if __name__ == "__main__":

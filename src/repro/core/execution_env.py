@@ -263,6 +263,8 @@ class ExecutionEnvironment:
         #: :meth:`set_recorder` installs a real one.
         self.recorder: "FlightRecorder | NullRecorder" = NULL_RECORDER
         self._services: dict[int, _LoadedService] = {}
+        #: A pass-through SN's imposed chain (see :meth:`load_imposed`).
+        self._imposed: Optional[_LoadedService] = None
         #: Injected per-service faults (netsim fault plans); empty in
         #: healthy operation, so the fast checks below are one dict probe.
         self._service_faults: dict[int, ServiceFault] = {}
@@ -303,11 +305,21 @@ class ExecutionEnvironment:
         self._services[service_id] = _LoadedService(module=module, enclave=enclave)
         return module
 
+    def load_imposed(self, module: ServiceModule) -> None:
+        """Deploy a pass-through SN's imposed chain (§3.2) as the module of
+        every service ID no loaded module claims."""
+        self.load(module, use_enclave=False)
+        self._imposed = self._services.pop(module.SERVICE_ID)
+
     def unload(self, service_id: int) -> None:
         self._services.pop(service_id, None)
 
+    def _loaded(self, service_id: int) -> Optional[_LoadedService]:
+        """The module loaded for this ID, else the node's imposed chain."""
+        return self._services.get(service_id, self._imposed)
+
     def has_service(self, service_id: int) -> bool:
-        return service_id in self._services
+        return self._loaded(service_id) is not None
 
     def service(self, service_id: int) -> ServiceModule:
         try:
@@ -316,7 +328,7 @@ class ExecutionEnvironment:
             raise ServiceError(f"service {service_id} not deployed") from None
 
     def enclave_for(self, service_id: int) -> Optional[Enclave]:
-        loaded = self._services.get(service_id)
+        loaded = self._loaded(service_id)
         return loaded.enclave if loaded else None
 
     def set_recorder(self, recorder: "FlightRecorder | NullRecorder") -> None:
@@ -381,7 +393,7 @@ class ExecutionEnvironment:
         budget, the punt resolves with :class:`ServiceTimeout` instead of
         a verdict.
         """
-        loaded = self._services.get(header.service_id)
+        loaded = self._loaded(header.service_id)
         if loaded is None:
             raise ServiceError(f"service {header.service_id} not deployed")
         if self._service_faults and self._fault_times_out(
@@ -438,7 +450,7 @@ class ExecutionEnvironment:
         )
         faults = self._service_faults
         for service_id, indices in groups.items():
-            loaded = self._services.get(service_id)
+            loaded = self._loaded(service_id)
             if loaded is None:
                 raise ServiceError(f"service {service_id} not deployed")
             fault = faults.get(service_id) if faults else None

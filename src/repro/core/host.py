@@ -118,7 +118,7 @@ class Host(NetNode):
 
         §3.1: the choice depends on who pays for the service. We model this
         as: prefer an SN that actually deploys the service, else the first
-        associated SN (pass-through SNs deploy nothing but forward onward).
+        associated SN (a pass-through SN's imposed chain serves them all).
         One bounded retry (host-driven recovery, §3.3): a reassociation in
         flight may land between the attempts.
         """
@@ -133,7 +133,7 @@ class Host(NetNode):
         if not self._first_hops:
             raise HostError(f"host {self.name} has no first-hop SN")
         for sn in self._first_hops:
-            if sn.pass_through is not None or sn.env.has_service(service_id):
+            if sn.env.has_service(service_id):
                 return sn
         return self._first_hops[0]
 

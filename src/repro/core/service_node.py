@@ -12,14 +12,13 @@ so SNs participate in simulated topologies. It also implements:
 * host association (the host↔SN PSP handshake + routing state);
 * SN↔SN pipes, including on-demand direct pipes across edomains (§3.2);
 * the border-SN mapping used for inter-edomain forwarding (§3.2);
-* pass-through operation for operator-imposed services (§3.2);
+* pass-through operation (§3.2) through an :class:`ImposedChain` module;
 * simulated-time processing delays from the :class:`CostModel`, so netsim
   experiments observe Table 1-shaped latencies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Optional, Protocol
 
 from ..netsim.engine import Simulator
@@ -28,15 +27,16 @@ from ..netsim.node import NetNode
 from ..obs import FlightRecorder, MetricsRegistry, NodeObs
 from ..obs import enabled_from_env as _obs_enabled_from_env
 from .attestation import SoftwareTPM
-from .decision_cache import CacheKey, Decision, DecisionCache
+from .decision_cache import Action, CacheKey, Decision, DecisionCache, ForwardTarget
 from .execution_env import ExecutionEnvironment
-from .ilp import ILPError, ILPHeader, TLV
+from .ilp import Flags, ILPHeader, TLV
 from .ipc import CostModel, InvocationMode
 from .overload import AdmissionConfig, ServicePolicy
 from .packet import ILPPacket, Payload, RawIPPacket
 from .pipe_terminus import PipeTerminus
-from .psp import PeerKeyStore, PSPError, pairwise_secret
+from .psp import PeerKeyStore, pairwise_secret
 from .resilience import KeepaliveFrame, PipeHealthMonitor
+from .service_module import ServiceModule, Verdict
 
 
 class ImposedModule(Protocol):
@@ -50,10 +50,54 @@ class ImposedModule(Protocol):
         """Return the (possibly rewritten) header to forward, or None to drop."""
 
 
-@dataclass
-class PassThroughConfig:
-    next_hop: str
-    chain: list[Any]  # ImposedModule instances, applied in order
+class ImposedChain(ServiceModule):
+    """A pass-through SN's imposed modules, run as one service module (§3.2).
+
+    A packet from ``next_hop`` is inbound and may only reach a host
+    associated here; any other goes out to ``next_hop``. A refusal installs
+    a drop; a pass installs a forward carrying the chain's TLV rewrites.
+    """
+
+    NAME = "imposed-chain"
+
+    def __init__(self, next_hop: str, chain: list[ImposedModule]) -> None:
+        super().__init__()
+        self.next_hop = next_hop
+        self.chain = chain
+
+    def handle_packet(self, header: ILPHeader, packet: Any) -> Verdict:
+        assert self.ctx is not None
+        src = packet.l3.src
+        inbound = src == self.next_hop
+        barrier = bool(header.flags & Flags.SLOW_PATH)
+        if header.flags & Flags.LAST:
+            # Teardown: forget the connection here, then send LAST on where
+            # its data goes so the hops behind this one tear down too.
+            self.ctx.node.cache.invalidate_connection(header.service_id, header.connection_id)
+        key = CacheKey(src, header.service_id, header.connection_id)
+        before = dict(header.tlvs)
+        current: Optional[ILPHeader] = header
+        for module in self.chain:
+            current = module.impose(current, packet.payload, inbound)
+            if current is None:
+                verdict = Verdict.drop()
+                if not barrier:
+                    verdict.installs.append((key, Decision.drop()))
+                return verdict
+        if inbound:
+            # An empty route has no PSP association: the egress drops it.
+            target = self.ctx.peer_for_host(current.get_str(TLV.DEST_ADDR) or "") or ""
+        else:
+            target = self.next_hop
+        verdict = Verdict.forward(target, current, packet.payload)
+        if target and not barrier:
+            updates = tuple((t, v) for t, v in current.tlvs.items() if before.get(t) != v)
+            forward = Decision(Action.FORWARD, (ForwardTarget(target, updates),))
+            verdict.installs.append((key, forward))
+        return verdict
+
+    # Imposed on all traffic: control packets run the chain like data.
+    handle_control = handle_packet
 
 
 class ServiceNode(NetNode):
@@ -95,7 +139,6 @@ class ServiceNode(NetNode):
         #: optional PeeringLedger; cross-edomain transmissions are recorded
         #: so the settlement-free accounting (§5) has ground-truth volumes.
         self.ledger: Any = None
-        self.pass_through: Optional[PassThroughConfig] = None
         #: pipe health monitor (keepalives + failure detection); created by
         #: :meth:`enable_health_monitor`, None when resilience is off.
         self.health: Optional[PipeHealthMonitor] = None
@@ -209,7 +252,8 @@ class ServiceNode(NetNode):
         return set(self._associated_hosts)
 
     def configure_pass_through(self, next_hop: str, chain: list[Any]) -> None:
-        self.pass_through = PassThroughConfig(next_hop=next_hop, chain=chain)
+        """Impose ``chain`` on all traffic this SN passes to or from ``next_hop``."""
+        self.env.load_imposed(ImposedChain(next_hop, chain))
 
     # -- observability -----------------------------------------------------
     def enable_observability(
@@ -364,12 +408,8 @@ class ServiceNode(NetNode):
             # untouched — the InterEdge changes nothing for unaware hosts.
             self._forward_raw(frame)
             return
-        if not isinstance(frame, ILPPacket):
-            return
-        if self.pass_through is not None:
-            self._handle_pass_through(frame)
-            return
-        self.terminus.receive(frame)
+        if isinstance(frame, ILPPacket):
+            self.terminus.receive(frame)
 
     def receive_burst(self, frames: Any, link: Link) -> None:
         """Feed a coalesced link burst through the terminus batch ingress.
@@ -377,16 +417,15 @@ class ServiceNode(NetNode):
         Consecutive ILP packets in the burst become one
         :meth:`PipeTerminus.receive_batch` call, which amortizes clock,
         stats, and flow-run work across the burst; other frame kinds (raw
-        IP, control objects) dispatch individually in arrival order.
-        Pass-through SNs and tapped nodes keep strict per-frame semantics.
+        IP, control objects) dispatch individually in arrival order. A
+        tap sees every frame of the burst before the burst is processed.
         """
         if self.failed:
             self.frames_dropped_failed += len(frames)
             return
-        if self.pass_through is not None or self.rx_tap is not None:
+        if self.rx_tap is not None:
             for frame in frames:
-                self.receive_frame(frame, link)
-            return
+                self.rx_tap(frame, link)
         self.frames_received += len(frames)
         batch: list[ILPPacket] = []
         for frame in frames:
@@ -405,58 +444,6 @@ class ServiceNode(NetNode):
         if node is not None and self.has_link_to(node):
             self.send_frame(packet, node)
             self.raw_packets_forwarded += 1
-
-    def _handle_pass_through(self, packet: ILPPacket) -> None:
-        """Terminate ILP, run imposed services, forward (§3.2).
-
-        Books the same first-fate ledger as the terminus ingress: a cache
-        hit is ``fast_path``, a chain run is the gateway's slow path
-        (``punts``).
-        """
-        assert self.pass_through is not None
-        stats = self.terminus.stats
-        stats.packets_in += 1
-        cfg = self.pass_through
-        peer = packet.l3.src
-        if not self.keystore.has(peer):
-            stats.drops_no_peer += 1
-            return
-        try:
-            plain = self.keystore.get(peer).open(packet.ilp_wire)
-        except PSPError:
-            stats.drops_auth += 1
-            return
-        try:
-            header = ILPHeader.decode(plain)
-        except ILPError:
-            stats.drops_malformed += 1
-            return
-        inbound = peer == cfg.next_hop
-        key = CacheKey(peer, header.service_id, header.connection_id)
-        cached = self.cache.lookup(key, now=self.sim.now)
-        self.terminus.pending_delay = self.cost_model.terminus_latency
-        if cached is not None:
-            stats.fast_path += 1
-            self.terminus.apply_decision(cached, header, packet.payload)
-            return
-        stats.punts += 1
-        current = header
-        for module in cfg.chain:
-            result = module.impose(current, packet.payload, inbound)
-            if result is None:
-                self.cache.install(key, Decision.drop(), now=self.sim.now)
-                stats.drops_by_decision += 1
-                return
-            current = result
-        if inbound:
-            target = current.get_str(TLV.DEST_ADDR)
-            if target is None or target not in self._associated_hosts:
-                stats.drops_no_route += 1
-                return
-        else:
-            target = cfg.next_hop
-        self.cache.install(key, Decision.forward(target), now=self.sim.now)
-        self.terminus.send(target, current, packet.payload)
 
     def emit(self, peer: str, header: ILPHeader, payload: Payload) -> bool:
         """Originate a packet from this SN (used by service modules)."""

@@ -8,17 +8,22 @@ import pytest
 from repro import InterEdge, WellKnownService, sanitize
 from repro.core.ilp import ILPHeader, TLV
 from repro.core.monitoring import snapshot_sn
+from repro.core.overload import DegradeMode, ServicePolicy
 from repro.core.packet import ILPPacket, L3Header, make_payload
 from repro.core.service_module import Standardization
 from repro.netsim import Link
 from repro.services import (
     IPDeliveryService,
     ImposedFirewall,
+    ImposedSDWAN,
     NullService,
+    PathMetric,
+    PathSelector,
     Rule,
     RuleSet,
     standard_registry,
 )
+from tests.test_obs_conformance import _assert_conformant, _span_names
 
 
 def sn_of(net, edomain, index):
@@ -209,10 +214,16 @@ class TestPassThrough:
         )
         inside.send(conn, b"exfil")
         net.run(1.0)
-        assert gateway.terminus.stats.drops_by_decision == 1
+        # The chain's refusal is a service drop, installed as a cached drop
+        # that the connection's next packet hits.
+        assert gateway.terminus.stats.drops_by_service == 1
         assert edge_sn.terminus.stats.packets_in == 0
         stats = self._check_fates(gateway)
         assert (stats.packets_in, stats.punts, stats.fast_path) == (1, 1, 0)
+        inside.send(conn, b"exfil")
+        net.run(1.0)
+        assert gateway.terminus.stats.drops_by_decision == 1
+        assert edge_sn.terminus.stats.packets_in == 0
 
     def test_pass_through_caches_decision(self, two_edomain_net):
         net = two_edomain_net
@@ -286,3 +297,99 @@ class TestPassThrough:
         )
         stats = self._check_fates(gateway)
         assert (stats.punts, stats.drops_no_route, stats.drops_no_peer) == (1, 1, 0)
+
+    def test_imposed_sdwan_steers_cached_packets(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, inside = self._enterprise(net)
+        far_sn, via_sn = sn_of(net, "east", 1), sn_of(net, "east", 0)
+        selector = PathSelector()
+        selector.configure_site(far_sn.address, [PathMetric(via_sn.address, latency_ms=1.0)])
+        gateway.configure_pass_through(
+            next_hop=edge_sn.address, chain=[ImposedSDWAN(selector)]
+        )
+        outside = net.add_host(far_sn, name="outside")
+        ctx = edge_sn.keystore.get(gateway.address)
+        steered = []
+
+        def tap(frame, link):
+            if isinstance(frame, ILPPacket) and frame.l3.src == gateway.address:
+                header = ILPHeader.decode(ctx.open(frame.ilp_wire))
+                steered.append(header.get_str(TLV.DEST_SN))
+
+        edge_sn.rx_tap = tap
+        conn = inside.connect(
+            WellKnownService.IP_DELIVERY,
+            dest_addr=outside.address,
+            dest_sn=far_sn.address,
+            allow_direct=False,
+        )
+        for _ in range(3):
+            inside.send(conn, b"x")
+            net.run(1.0)
+        # The rewrite rides the cached decision, so hits are steered too.
+        assert steered == [via_sn.address] * 3
+        assert gateway.cache.stats.hits == 2
+
+    def test_close_tears_down_the_gateway_entry(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, inside = self._enterprise(net)
+        outside = net.add_host(sn_of(net, "east", 0), name="outside")
+        conn = inside.connect(
+            WellKnownService.IP_DELIVERY, dest_addr=outside.address, allow_direct=False
+        )
+        inside.send(conn, b"x")
+        net.run(1.0)
+        assert len(gateway.cache) == 1
+        reached_edge = edge_sn.terminus.stats.packets_in
+        inside.close(conn)
+        net.run(1.0)
+        assert len(gateway.cache) == 0
+        assert edge_sn.terminus.stats.packets_in == reached_edge + 1
+        self._check_fates(gateway)
+
+    def test_burst_coalesces_misses_at_the_gateway(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, inside = self._enterprise(net)
+        outside = net.add_host(sn_of(net, "east", 0), name="outside")
+        conn = inside.connect(
+            WellKnownService.IP_DELIVERY, dest_addr=outside.address, allow_direct=False
+        )
+        for _ in range(8):
+            inside.send(conn, b"x", first=False)
+        net.run(1.0)
+        terminus = gateway.terminus
+        assert self._check_fates(gateway).punts == 1
+        assert terminus.miss_queue.stats.drained_fast == 7
+        assert terminus.shard_stats.bursts == 1
+        assert len(outside.delivered) == 8
+
+    def test_gateway_traces_conform(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, inside = self._enterprise(net)
+        recorder = gateway.enable_observability().recorder
+        outside = net.add_host(sn_of(net, "east", 0), name="outside")
+        conn = inside.connect(
+            WellKnownService.IP_DELIVERY, dest_addr=outside.address, allow_direct=False
+        )
+        for _ in range(3):
+            inside.send(conn, b"x")
+            net.run(1.0)
+        names = _span_names(_assert_conformant(recorder))
+        assert {"terminus.receive", "terminus.punt", "terminus.cache_hit"} <= names
+
+    def test_hung_imposed_service_degrades_and_trips(self, two_edomain_net):
+        net = two_edomain_net
+        edge_sn, gateway, inside = self._enterprise(net)
+        outside = net.add_host(sn_of(net, "east", 0), name="outside")
+        service = WellKnownService.IP_DELIVERY
+        gateway.set_service_policy(service, ServicePolicy(degrade=DegradeMode.FAIL_CLOSED))
+        gateway.env.inject_hang(service)
+        conn = inside.connect(service, dest_addr=outside.address, allow_direct=False)
+        for _ in range(6):
+            inside.send(conn, b"x")
+            net.run(0.05)
+        stats = self._check_fates(gateway)
+        # Five timed-out punts trip the breaker; the sixth is short-circuited.
+        assert (stats.punts, stats.drops_degraded) == (5, 6)
+        assert gateway.terminus.overload.breakers[service].stats.trips == 1
+        assert outside.delivered == []

@@ -50,7 +50,9 @@ class TestEnterpriseScenario:
     def test_gateway_wiring(self):
         handles = enterprise_scenario()
         gateway = handles.extras["gateway"]
-        assert gateway.pass_through is not None
+        # The imposed chain serves every service ID nothing loaded claims.
+        assert not gateway.env.service_ids()
+        assert gateway.env.has_service(WellKnownService.IP_DELIVERY)
         assert handles.extras["inside"].first_hop_addresses == [gateway.address]
 
     def test_inside_to_outside_traffic(self):
