@@ -1,6 +1,6 @@
 """InterEdge control plane: edomain cores, global lookup, membership, naming."""
 
-from .core_store import CoreStore, CoreStoreError
+from .core_store import CoreStore
 from .lookup import (
     AddressRecord,
     GlobalLookupService,
@@ -19,7 +19,6 @@ from .naming import NameService, NamingError, Resolution
 __all__ = [
     "AddressRecord",
     "CoreStore",
-    "CoreStoreError",
     "EdomainMembershipCore",
     "GlobalLookupService",
     "GroupView",

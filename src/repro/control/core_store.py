@@ -12,15 +12,11 @@ recovery.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from dataclasses import dataclass
+from typing import Any, Callable
 
 #: Watch callback: (key, op, value) where op is "add" | "remove" | "set"
 WatchCallback = Callable[[str, str, Any], None]
-
-
-class CoreStoreError(Exception):
-    """Raised on invalid store operations."""
 
 
 @dataclass

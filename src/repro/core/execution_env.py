@@ -11,7 +11,8 @@ the ecosystem write-once-run-anywhere.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..obs.recorder import NULL_RECORDER
@@ -20,7 +21,7 @@ from .decision_cache import CacheKey, Decision
 from .enclave import Enclave, module_image
 from .ilp import ILPHeader
 from .packet import Payload
-from .service_module import ServiceError, ServiceModule, ServiceTimeout, Verdict
+from .service_module import ServiceError, ServiceModule, Verdict
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..obs.recorder import FlightRecorder, NullRecorder
@@ -219,36 +220,6 @@ class _LoadedService:
     enclave: Optional[Enclave]
 
 
-@dataclass(slots=True)
-class ServiceFault:
-    """Injected misbehavior of one loaded service (netsim fault surface).
-
-    ``slowdown`` adds virtual seconds to every invocation; ``hung`` makes
-    the service never answer. Both are compared against the punt's
-    slow-path deadline by :meth:`ExecutionEnvironment.dispatch` /
-    :meth:`~ExecutionEnvironment.dispatch_batch`.
-    """
-
-    slowdown: float = 0.0
-    hung: bool = False
-
-
-@dataclass(frozen=True, slots=True)
-class PuntTimeout:
-    """Marker verdict slot: the punt exceeded its slow-path deadline.
-
-    Returned (not raised) by :meth:`ExecutionEnvironment.dispatch_batch`
-    so one timed-out punt does not poison its batch. It crosses the IPC
-    boundary as a one-byte result tag (see :mod:`repro.core.ipc`) and is
-    rebuilt on the terminus side, so callers must test with
-    ``isinstance``, never identity.
-    """
-
-
-#: Shared marker instance for the common (in-process) case.
-PUNT_TIMEOUT = PuntTimeout()
-
-
 class ExecutionEnvironment:
     """Hosts the service modules of one SN."""
 
@@ -265,9 +236,10 @@ class ExecutionEnvironment:
         self._services: dict[int, _LoadedService] = {}
         #: A pass-through SN's imposed chain (see :meth:`load_imposed`).
         self._imposed: Optional[_LoadedService] = None
-        #: Injected per-service faults (netsim fault plans); empty in
-        #: healthy operation, so the fast checks below are one dict probe.
-        self._service_faults: dict[int, ServiceFault] = {}
+        #: Injected per-service answer delay in virtual seconds (netsim
+        #: fault plans); ``inf`` is a hung service. Empty when healthy. The
+        #: terminus compares it with each punt's deadline.
+        self.service_delay: dict[int, float] = {}
         # Every SN ships the standard library set (§3.1); operators may
         # later swap in accelerated variants via libs.provide().
         from ..libs import install_standard_libraries
@@ -348,60 +320,21 @@ class ExecutionEnvironment:
     def inject_slowdown(self, service_id: int, extra: float) -> None:
         """Every invocation of ``service_id`` now takes ``extra`` more
         virtual seconds (timing out when a deadline is tighter)."""
-        fault = self._service_faults.setdefault(service_id, ServiceFault())
-        fault.slowdown = float(extra)
+        self.service_delay[service_id] = float(extra)
 
     def inject_hang(self, service_id: int) -> None:
         """``service_id`` stops answering punts until cleared."""
-        fault = self._service_faults.setdefault(service_id, ServiceFault())
-        fault.hung = True
+        self.service_delay[service_id] = math.inf
 
     def clear_service_fault(self, service_id: int) -> bool:
         """Heal a service; True when a fault was actually present."""
-        return self._service_faults.pop(service_id, None) is not None
+        return self.service_delay.pop(service_id, None) is not None
 
-    def service_fault(self, service_id: int) -> Optional[ServiceFault]:
-        return self._service_faults.get(service_id)
-
-    @property
-    def has_faults(self) -> bool:
-        return bool(self._service_faults)
-
-    def fault_latency(self, service_id: int) -> float:
-        """Extra virtual latency an invocation of this service pays now."""
-        fault = self._service_faults.get(service_id)
-        return fault.slowdown if fault is not None else 0.0
-
-    def _fault_times_out(
-        self, fault: Optional[ServiceFault], deadline: Optional[float]
-    ) -> bool:
-        if fault is None:
-            return False
-        if fault.hung:
-            # A hung service never answers; in a discrete-event simulation
-            # the punt resolves as a timeout regardless of the deadline.
-            return True
-        return deadline is not None and fault.slowdown > deadline
-
-    def dispatch(
-        self, header: ILPHeader, packet: Any, deadline: Optional[float] = None
-    ) -> Verdict:
-        """Run the slow path for a punted packet (enclave-aware).
-
-        ``deadline`` is the punt's slow-path budget in virtual seconds:
-        when the service is hung, or its injected slowdown exceeds the
-        budget, the punt resolves with :class:`ServiceTimeout` instead of
-        a verdict.
-        """
+    def dispatch(self, header: ILPHeader, packet: Any) -> Verdict:
+        """Run the slow path for a punted packet (enclave-aware)."""
         loaded = self._loaded(header.service_id)
         if loaded is None:
             raise ServiceError(f"service {header.service_id} not deployed")
-        if self._service_faults and self._fault_times_out(
-            self._service_faults.get(header.service_id), deadline
-        ):
-            raise ServiceTimeout(
-                f"service {header.service_id} missed its slow-path deadline"
-            )
         if header.is_control:
             handler = loaded.module.handle_control
         else:
@@ -417,11 +350,7 @@ class ExecutionEnvironment:
         finally:
             recorder.end_span(span)
 
-    def dispatch_batch(
-        self,
-        punts: list[tuple[ILPHeader, Any]],
-        deadlines: Optional[list[Optional[float]]] = None,
-    ) -> list[Any]:
+    def dispatch_batch(self, punts: list[tuple[ILPHeader, Any]]) -> list[Any]:
         """Run the slow path for a whole batch of punts, grouped by service.
 
         Each service module sees one vectorized
@@ -433,12 +362,6 @@ class ExecutionEnvironment:
         terminus accounts those as service drops). A missing service raises
         — callers filter with :meth:`has_service` per punt, exactly as the
         scalar :meth:`dispatch` path expects.
-
-        ``deadlines`` supplies one optional slow-path budget per punt
-        (same order). A punt whose service is hung — or slowed beyond its
-        budget — gets a :class:`PuntTimeout` marker in its slot instead of
-        poisoning the batch; the rest of its service group is dispatched
-        normally.
         """
         results: list[Any] = [None] * len(punts)
         groups: dict[int, list[int]] = {}
@@ -448,23 +371,10 @@ class ExecutionEnvironment:
         span = recorder.begin_span(
             "env.dispatch", n=len(punts), services=len(groups)
         )
-        faults = self._service_faults
         for service_id, indices in groups.items():
             loaded = self._loaded(service_id)
             if loaded is None:
                 raise ServiceError(f"service {service_id} not deployed")
-            fault = faults.get(service_id) if faults else None
-            if fault is not None:
-                live = []
-                for i in indices:
-                    budget = deadlines[i] if deadlines is not None else None
-                    if self._fault_times_out(fault, budget):
-                        results[i] = PUNT_TIMEOUT
-                    else:
-                        live.append(i)
-                indices = live
-                if not indices:
-                    continue
             items = [punts[i] for i in indices]
             try:
                 if loaded.enclave is not None:

@@ -17,7 +17,6 @@ The host component implements:
 from __future__ import annotations
 
 import ipaddress
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -26,7 +25,6 @@ from ..netsim.link import Link
 from ..netsim.node import NetNode
 from .crypto import KeyPair
 from .ilp import Flags, ILPError, ILPHeader, TLV, new_connection_id
-from .overload import RetryStats, retry_call
 from .packet import ILPPacket, L3Header, Payload, RawIPPacket, make_payload
 from .psp import PSPError, PeerKeyStore, pairwise_secret
 
@@ -79,8 +77,6 @@ class Host(NetNode):
         self.default_handler: Optional[DataHandler] = None
         self.delivered: list[tuple[ILPHeader, Payload]] = []
         self.undeliverable = 0
-        #: Backoff bookkeeping for retried first-hop lookups.
-        self.retry_stats = RetryStats()
 
     # -- association ---------------------------------------------------------
     def register_first_hop(self, sn: Any) -> None:
@@ -119,17 +115,7 @@ class Host(NetNode):
         §3.1: the choice depends on who pays for the service. We model this
         as: prefer an SN that actually deploys the service, else the first
         associated SN (a pass-through SN's imposed chain serves them all).
-        One bounded retry (host-driven recovery, §3.3): a reassociation in
-        flight may land between the attempts.
         """
-        return retry_call(
-            lambda: self._first_hop_for(service_id),
-            attempts=2,
-            retry_on=(HostError,),
-            stats=self.retry_stats,
-        )
-
-    def _first_hop_for(self, service_id: int) -> Any:
         if not self._first_hops:
             raise HostError(f"host {self.name} has no first-hop SN")
         for sn in self._first_hops:

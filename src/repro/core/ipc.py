@@ -33,19 +33,18 @@ perform still runs. A malformed frame raises :class:`IPCError`,
 
 Request (terminus → service)::
 
-    | kind (1B: 1 = punts, 2 = punts + deadlines) | count (2B) | punt* |
-    punt: | flags (1B: 0x01 L4 present, 0x02 qos_src present, 0x04 deadline)
+    | kind (1B: 1 = punts) | count (2B) | punt* |
+    punt: | flags (1B: 0x01 L4 present, 0x02 qos_src present)
           | l3.proto (1B) | l3.ttl (1B) | l4.proto (1B) | sport (2B)
           | dport (2B) | header len (2B) | src len (1B) | dst len (1B)
           | qos_src len (1B) | ilp_wire len (2B) | data len (4B)
           | packet_id (8B) | created_at (f64) |
           | header.encode() | l3.src | l3.dst | qos_src | ilp_wire | data |
-          | deadline (f64, only with flag 0x04) |
 
 Response (service → terminus), one result per punt, in punt order::
 
     | kind (1B: 3) | count (2B) | result* |
-    result:  | tag (1B: 0 = None, 1 = PuntTimeout, 2 = Verdict) | verdict? |
+    result:  | tag (1B: 0 = None, 2 = Verdict) | verdict? |
     verdict: | dropped (1B) | emits (2B) | installs (2B) | emit* | install* |
     emit:    | refs (1B: 0x01 header, 0x02 payload) | peer len (1B) | peer |
              | header len (2B) | header.encode() |      (absent with ref 0x01)
@@ -68,6 +67,11 @@ echoed). Whatever a service changed — a rewritten TLV or flag, a swapped
 The choice is made per emit from what the code observes; there is no
 option to set.
 
+The boundary knows nothing of deadlines: the terminus owns each punt's
+deadline and resolves a punt that would miss it without sending it across
+(see ``PipeTerminus._punt_batch``). Request kind 2, punt flag ``0x04`` and
+result tag 1 are not part of the format and raise :class:`IPCError`.
+
 In simulated time, a :class:`CostModel` supplies per-invocation virtual
 latencies so netsim experiments see the same relative costs.
 """
@@ -81,7 +85,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
 
 from ..obs.recorder import NULL_RECORDER
 from .decision_cache import Action, CacheError, CacheKey, Decision, ForwardTarget
-from .execution_env import PUNT_TIMEOUT, PuntTimeout
 from .ilp import ILPHeader
 from .packet import ILPPacket, L3Header, L4Header, Payload
 from .service_module import Emit, Verdict
@@ -95,15 +98,12 @@ class IPCError(Exception):
 
 
 _KIND_PUNTS = 1
-_KIND_PUNTS_DEADLINES = 2
 _KIND_RESULTS = 3
 
 _F_L4 = 0x01
 _F_QOS = 0x02
-_F_DEADLINE = 0x04
 
 _TAG_NONE = 0
-_TAG_TIMEOUT = 1
 _TAG_VERDICT = 2
 
 _REF_HEADER = 0x01
@@ -113,7 +113,6 @@ _HEAD = struct.Struct(">BH")  # kind, count
 #: flags, l3.proto, l3.ttl, l4.proto, sport, dport, then the lengths of
 #: header / src / dst / qos_src / ilp_wire / data, packet_id, created_at.
 _PUNT = struct.Struct(">BBBBHHHBBBHIQd")
-_F64 = struct.Struct(">d")
 _VERDICT = struct.Struct(">BHH")  # dropped, emits, installs
 _EMIT = struct.Struct(">BB")  # refs, peer len
 _U16 = struct.Struct(">H")
@@ -125,7 +124,6 @@ _TLV = _TARGET  # type, value len
 
 _ACTIONS = (Action.FORWARD, Action.DROP)
 _NONE = bytes((_TAG_NONE,))
-_TIMEOUT = bytes((_TAG_TIMEOUT,))
 _VERDICT_TAG = bytes((_TAG_VERDICT,))
 _TRUNCATED = "frame truncated"
 
@@ -136,18 +134,11 @@ Punt = tuple[ILPHeader, ILPPacket]
 PuntRef = tuple[bytes, Payload, bytes, Optional[L4Header]]
 
 
-def encode_request(
-    punts: Sequence[Punt], deadlines: Optional[Sequence[Optional[float]]] = None
-) -> bytes:
+def encode_request(punts: Sequence[Punt]) -> bytes:
     """Marshal ``(ILPHeader, ILPPacket)`` punts into one request frame."""
-    kind = _KIND_PUNTS_DEADLINES
-    if deadlines is None:
-        kind, deadlines = _KIND_PUNTS, (None,) * len(punts)
-    elif len(deadlines) != len(punts):
-        raise IPCError(f"{len(deadlines)} deadlines for {len(punts)} punts")
     try:
-        parts = [_HEAD.pack(kind, len(punts))]
-        for (header, packet), deadline in zip(punts, deadlines):
+        parts = [_HEAD.pack(_KIND_PUNTS, len(punts))]
+        for header, packet in punts:
             if not (
                 isinstance(header, ILPHeader) and isinstance(packet, ILPPacket)
             ):
@@ -171,8 +162,6 @@ def encode_request(
             if packet.qos_src is not None:
                 flags |= _F_QOS
                 qos = packet.qos_src.encode()
-            if deadline is not None:
-                flags |= _F_DEADLINE
             parts += (
                 _PUNT.pack(
                     flags,
@@ -197,32 +186,24 @@ def encode_request(
                 packet.ilp_wire,
                 data,
             )
-            if deadline is not None:
-                parts.append(_F64.pack(deadline))
     except struct.error as exc:
         raise IPCError(f"punt does not fit the request frame: {exc}") from exc
     return b"".join(parts)
 
 
-def decode_request(
-    frame: bytes,
-) -> tuple[list[Punt], Optional[list[Optional[float]]], list[PuntRef]]:
-    """Rebuild the punts (and deadlines) of a request frame.
+def decode_request(frame: bytes) -> tuple[list[Punt], list[PuntRef]]:
+    """Rebuild the punts of a request frame.
 
     Also returns one :data:`PuntRef` per punt — what
     :func:`encode_response` compares a verdict's emits against.
     """
     size = len(frame)
     punts: list[Punt] = []
-    deadlines: list[Optional[float]] = []
     refs: list[PuntRef] = []
     try:
         kind, count = _HEAD.unpack_from(frame)
-        if kind not in (_KIND_PUNTS, _KIND_PUNTS_DEADLINES):
+        if kind != _KIND_PUNTS:
             raise IPCError(f"not a request frame (kind {kind})")
-        known = _F_L4 | _F_QOS
-        if kind == _KIND_PUNTS_DEADLINES:
-            known |= _F_DEADLINE
         off = _HEAD.size
         for _ in range(count):
             (
@@ -241,7 +222,7 @@ def decode_request(
                 packet_id,
                 created_at,
             ) = _PUNT.unpack_from(frame, off)
-            if flags & ~known:
+            if flags & ~(_F_L4 | _F_QOS):
                 raise IPCError(f"unknown punt flags {flags:#04x}")
             off += _PUNT.size
             src_at = off + n_wire
@@ -270,22 +251,17 @@ def decode_request(
                 str(frame[qos_at:ilp_at], "utf-8") if flags & _F_QOS else None,
             )
             off = end
-            deadline = None
-            if flags & _F_DEADLINE:
-                (deadline,) = _F64.unpack_from(frame, off)
-                off += _F64.size
             punts.append((ILPHeader.decode(wire), packet))
-            deadlines.append(deadline)
             refs.append((wire, payload, data, l4))
     except (struct.error, UnicodeDecodeError) as exc:
         raise IPCError(f"malformed request frame: {exc}") from exc
     if off != size:
         raise IPCError(f"{size - off} trailing bytes after the request frame")
-    return punts, deadlines if kind == _KIND_PUNTS_DEADLINES else None, refs
+    return punts, refs
 
 
 def encode_response(results: Sequence[Any], refs: Sequence[PuntRef]) -> bytes:
-    """Marshal one ``None | PuntTimeout | Verdict`` per punt, in punt order.
+    """Marshal one ``None | Verdict`` per punt, in punt order.
 
     ``refs`` is what :func:`decode_request` returned for the same punts;
     an emit's header and payload are each replaced by a back-reference when
@@ -300,12 +276,9 @@ def encode_response(results: Sequence[Any], refs: Sequence[PuntRef]) -> bytes:
             if result is None:
                 parts.append(_NONE)
                 continue
-            if isinstance(result, PuntTimeout):
-                parts.append(_TIMEOUT)
-                continue
             if not isinstance(result, Verdict):
                 raise IPCError(
-                    "the IPC boundary returns None, PuntTimeout or Verdict, "
+                    "the IPC boundary returns None or Verdict, "
                     f"not {type(result).__name__}"
                 )
             emits = result.emits
@@ -389,11 +362,11 @@ def decode_response(frame: bytes, punts: Sequence[Punt]) -> list[Any]:
                 raise IPCError(_TRUNCATED)
             tag = frame[off]
             off += 1
-            if tag != _TAG_VERDICT:
-                if tag > _TAG_VERDICT:
-                    raise IPCError(f"unknown result tag {tag}")
-                results.append(None if tag == _TAG_NONE else PUNT_TIMEOUT)
+            if tag == _TAG_NONE:
+                results.append(None)
                 continue
+            if tag != _TAG_VERDICT:
+                raise IPCError(f"unknown result tag {tag}")
             dropped, n_emits, n_installs = _VERDICT.unpack_from(frame, off)
             if dropped > 1:
                 raise IPCError(f"invalid dropped flag {dropped}")
@@ -506,9 +479,8 @@ class CostModel:
     #: Default slow-path deadline per punt (seconds); a per-service
     #: :class:`~repro.core.overload.ServicePolicy` may override it. A punt
     #: that times out bills the full deadline as latency — the wait is the
-    #: backpressure a circuit breaker then removes. ``None`` disables
-    #: deadline enforcement entirely.
-    punt_deadline: Optional[float] = 2.5e-3
+    #: backpressure a circuit breaker then removes.
+    punt_deadline: float = 2.5e-3
 
     def invocation_latency(self, mode: InvocationMode, enclave: bool) -> float:
         """Latency of invoking one punt: a batch of one."""
@@ -566,7 +538,7 @@ class InvocationChannel:
     A punt is an :class:`ILPHeader` and the :class:`ILPPacket` it arrived
     in. ``invoke_batch`` carries many punts across the boundary at once:
     in IPC mode they cross in one request frame, the handler runs on the
-    copies decoded from it, and its ``None | PuntTimeout | Verdict``
+    copies decoded from it, and its ``None | Verdict``
     results cross back in one response frame (layouts in the module
     docstring), mirroring the prototype's process boundary — anything else
     is rejected with :class:`IPCError`; shared-memory mode makes one ring
@@ -594,9 +566,8 @@ class InvocationChannel:
 
     def invoke_batch(
         self,
-        handler: Callable[..., list[Any]],
+        handler: Callable[[list[Punt]], list[Any]],
         punts: list[Punt],
-        deadlines: Optional[list[Optional[float]]] = None,
     ) -> list[Any]:
         """Invoke ``handler`` on a whole batch of punts in one round trip.
 
@@ -605,13 +576,6 @@ class InvocationChannel:
         request carries every punt, the response every result — so the
         boundary cost is amortized across the batch. Shared-memory mode
         passes references and models one ring write per punt header.
-
-        ``deadlines`` (one optional per-punt slow-path deadline, same order
-        as ``punts``) rides the request frame when present, so the
-        execution environment enforces deadlines on the far side of the
-        boundary exactly as a real slow-path daemon would. Without
-        deadlines the frame — and therefore the byte accounting — carries
-        no deadline fields.
         """
         stats = self.stats
         stats.invocations += len(punts)
@@ -624,20 +588,15 @@ class InvocationChannel:
         )
         try:
             if self.mode is InvocationMode.IPC:
-                request = encode_request(punts, deadlines)
+                request = encode_request(punts)
                 stats._account(self.mode, len(request))
-                rx_punts, rx_deadlines, refs = decode_request(request)
-                if rx_deadlines is None:
-                    results = handler(rx_punts)
-                else:
-                    results = handler(rx_punts, rx_deadlines)
+                rx_punts, refs = decode_request(request)
+                results = handler(rx_punts)
                 response = encode_response(results, refs)
                 stats._account(self.mode, len(response))
                 return decode_response(response, punts)
             for punt_header, _packet in punts:
                 stats._account(self.mode, len(bytes(punt_header.encode())))
-            if deadlines is None:
-                return handler(punts)
-            return handler(punts, deadlines)
+            return handler(punts)
         finally:
             recorder.end_span(span)

@@ -1,4 +1,4 @@
-"""Overload resilience for the slow path: breakers, shedding, retries.
+"""Overload resilience for the slow path: deadlines, breakers, shedding.
 
 The paper's pipe-terminus design assumes the slow path is occasionally
 *cold*, never *sick* — but one misbehaving service module (hung handler,
@@ -11,7 +11,9 @@ punt:
   deadline, the **degradation mode** used when an invocation times out or
   errors (``fail_open`` forward, ``fail_closed`` drop, ``fail_static``
   serve the last-known decision from the cache's stale shelf), and the
-  circuit-breaker configuration.
+  circuit-breaker configuration. The terminus enforces the deadline
+  itself: a punt its service cannot answer in time never crosses the
+  IPC boundary.
 * :class:`CircuitBreaker` — a closed→open→half-open state machine keyed on
   an EWMA of timeout/error outcomes. An **open** circuit short-circuits
   cold packets straight to the degradation mode without invoking the
@@ -25,10 +27,6 @@ punt:
   :class:`repro.sched.TokenBucket`). Under pressure, *true-cold* leads are
   shed before they park or punt; CONTROL/LAST barrier frames and
   established (cache-hit) flows are never shed.
-* :func:`retry_call` — the shared control-plane retry helper: capped
-  decorrelated-jitter backoff with a deterministic seed and a per-op
-  backoff deadline, wrapped around host lookups, ResilienceAgent resyncs,
-  and CoreStore writes.
 
 Everything here is **off by default**: a terminus with no policies, no
 admission config, and no injected faults behaves byte-for-byte like the
@@ -44,7 +42,7 @@ from __future__ import annotations
 import enum
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Optional
 
 from ..sched import TokenBucket
 
@@ -400,70 +398,3 @@ class OverloadGuard:
         """
         for service_id, policy in self.policies.items():
             self.breakers[service_id] = CircuitBreaker(policy.breaker)
-
-
-# -- control-plane retries -----------------------------------------------
-@dataclass(slots=True)
-class RetryStats:
-    """Ledger for one caller's :func:`retry_call` usage."""
-
-    calls: int = 0
-    retries: int = 0
-    giveups: int = 0
-    backoff_total: float = 0.0
-
-
-def retry_call(
-    fn: Callable[[], Any],
-    *,
-    attempts: int = 3,
-    base_delay: float = 0.001,
-    max_delay: float = 0.05,
-    deadline: Optional[float] = None,
-    seed: int = 0,
-    retry_on: tuple[type[BaseException], ...] = (Exception,),
-    on_backoff: Optional[Callable[[float], None]] = None,
-    stats: Optional[RetryStats] = None,
-) -> Any:
-    """Call ``fn`` with capped decorrelated-jitter retries.
-
-    The backoff schedule is AWS-style decorrelated jitter — each delay is
-    ``uniform(base_delay, 3 × previous)`` capped at ``max_delay`` — drawn
-    from ``random.Random(seed)`` so a replayed control-plane scenario
-    retries identically. ``deadline`` bounds the *cumulative* backoff
-    budget per call: a retry whose delay would exceed it re-raises
-    instead. Delays are virtual (this is a simulator: nothing sleeps);
-    they are booked to ``stats.backoff_total`` and handed to
-    ``on_backoff`` so callers may charge simulated time or real sleep as
-    appropriate.
-
-    Exceptions not in ``retry_on`` propagate immediately.
-    """
-    if attempts < 1:
-        raise OverloadError("retry_call needs attempts >= 1")
-    if stats is not None:
-        stats.calls += 1
-    rng = random.Random(seed)
-    previous = base_delay
-    total = 0.0
-    for attempt in range(attempts):
-        try:
-            return fn()
-        except retry_on:
-            if attempt + 1 >= attempts:
-                if stats is not None:
-                    stats.giveups += 1
-                raise
-            delay = min(max_delay, rng.uniform(base_delay, previous * 3))
-            if deadline is not None and total + delay > deadline:
-                if stats is not None:
-                    stats.giveups += 1
-                raise
-            previous = delay
-            total += delay
-            if stats is not None:
-                stats.retries += 1
-                stats.backoff_total += delay
-            if on_backoff is not None:
-                on_backoff(delay)
-    raise OverloadError("unreachable")  # pragma: no cover

@@ -91,7 +91,6 @@ from typing import TYPE_CHECKING, Callable, Optional
 from .. import sanitize as _san
 from ..obs.recorder import NULL_RECORDER
 from .decision_cache import Action, CacheKey, Decision, DecisionCache
-from .execution_env import PuntTimeout
 from .ilp import FLAGS_WIRE_OFFSET, Flags, ILPError, ILPHeader, TLV
 from .ipc import CostModel, InvocationChannel, InvocationMode
 from .offload import ActionKind, TerminusOffloadEngine
@@ -877,18 +876,22 @@ class PipeTerminus:
         short-cut into a forward or a stale replay. Otherwise the punt is
         counted, and a missing service is a no-service drop.
 
-        The eligible punts cross in one
+        The terminus owns each punt's deadline (the policy's, else
+        ``CostModel.punt_deadline``): a punt whose service would answer
+        after it — ``env.service_delay``, ``inf`` when hung — times out
+        here and never crosses. It bills its crossing share plus the full
+        deadline — the wait *is* the overload cost the breaker then
+        removes. Every other eligible punt crosses in one
         :meth:`~repro.core.ipc.InvocationChannel.invoke_batch`, billed as
         one :meth:`~repro.core.ipc.CostModel.batch_invocation_latency`
         (the single marshal round trip, plus one enclave crossing pair
         per enclave-hosted service group) plus ``service_packet`` per
-        punt that burned service CPU. A failed punt still crossed the
-        boundary and burned that CPU, so it bills like a successful one;
-        a timed-out punt (``PuntTimeout`` slot from the execution
-        environment) bills its full deadline instead — the wait *is* the
-        overload cost the breaker then removes. Failures and timeouts
-        feed the service's breaker and resolve through :meth:`_degrade`
-        when a policy is set, as by-service drops otherwise.
+        punt that burned service CPU, plus its service's delay when it
+        answered late but in time. A failed punt still crossed the
+        boundary and burned that CPU, so it bills like a successful one.
+        Failures and timeouts feed the service's breaker and resolve
+        through :meth:`_degrade` when a policy is set, as by-service drops
+        otherwise.
 
         Returns one entry per punt, in order (``None`` = no service,
         service error, timeout, or circuit short-circuit — in every case
@@ -906,7 +909,9 @@ class PipeTerminus:
         recorder = self.recorder
         results: list[Optional[Verdict]] = [None] * len(punts)
         eligible: list[int] = []
-        deadlines: list[Optional[float]] = []
+        # Punts whose service would answer after their deadline -> deadline.
+        late: dict[int, float] = {}
+        delays = env.service_delay
         enclave_services: set[int] = set()
         policies = guard.policies
         now = self._clock() if policies else 0.0
@@ -930,42 +935,45 @@ class PipeTerminus:
                 stats.drops_no_service += 1
                 continue
             eligible.append(i)
-            deadlines.append(
-                policy.deadline
-                if policy is not None and policy.deadline is not None
-                else cost.punt_deadline
-            )
+            if delays:
+                deadline = (
+                    policy.deadline
+                    if policy is not None and policy.deadline is not None
+                    else cost.punt_deadline
+                )
+                if delays.get(service_id, 0.0) > deadline:
+                    late[i] = deadline
             if env.enclave_for(service_id) is not None:
                 enclave_services.add(service_id)
         if not eligible:
             return results
-        has_faults = env.has_faults
-        # Deadlines ride the marshal only when a fault could trip them, so
-        # the fault-free wire format (and byte accounting) is unchanged.
-        verdicts = self.channel.invoke_batch(
-            env.dispatch_batch,
-            [punts[i] for i in eligible],
-            deadlines if has_faults else None,
+        crossed = [punts[i] for i in eligible if i not in late]
+        verdicts = iter(
+            self.channel.invoke_batch(env.dispatch_batch, crossed)
+            if crossed
+            else ()
         )
         crossing = cost.batch_invocation_latency(
             self.channel.mode, len(enclave_services)
         )
-        # Per-punt view of the amortized crossing: every punt that crossed
+        # Per-punt view of the amortized crossing: every eligible punt
         # carries an equal share of the round trip.
         share = crossing / len(eligible)
+        sample = share + cost.service_packet
         billed = 0
+        slowed = 0
         extra = 0.0
-        for pos, (i, verdict) in enumerate(zip(eligible, verdicts)):
+        for i in eligible:
             header, packet = punts[i]
             service_id = header.service_id
             policy = policies.get(service_id) if policies else None
             breaker = (
                 guard.breakers.get(service_id) if policy is not None else None
             )
-            if isinstance(verdict, PuntTimeout):
+            if i in late:
                 guard.stats.deadline_misses += 1
                 tripped = breaker is not None and breaker.record_timeout(now)
-                waited = deadlines[pos] or 0.0
+                waited = late[i]
                 self.pending_delay += waited
                 if obs is not None:
                     obs.punt_latency.record(share + waited)
@@ -973,17 +981,20 @@ class PipeTerminus:
                     recorder.event(
                         "overload.timeout", service=service_id, n=1
                     )
-            elif verdict is not None:
-                billed += 1
-                if breaker is not None:
-                    breaker.record_success(now)
-                if has_faults:
-                    # A slowed-but-within-deadline service bills its slowdown.
-                    extra += env.fault_latency(service_id)
-                results[i] = verdict
-                continue
             else:
+                verdict = next(verdicts)
                 billed += 1
+                if verdict is not None:
+                    if breaker is not None:
+                        breaker.record_success(now)
+                    delay = delays.get(service_id, 0.0) if delays else 0.0
+                    if delay:
+                        extra += delay
+                        if obs is not None:
+                            slowed += 1
+                            obs.punt_latency.record(sample + delay)
+                    results[i] = verdict
+                    continue
                 tripped = breaker is not None and breaker.record_error(now)
             if tripped and recorder.recording:
                 recorder.event("overload.breaker_open", service=service_id)
@@ -992,8 +1003,8 @@ class PipeTerminus:
             else:
                 stats.drops_by_service += 1
         self.pending_delay += crossing + cost.service_packet * billed + extra
-        if obs is not None and billed:
-            obs.punt_latency.record_many(share + cost.service_packet, billed)
+        if obs is not None:
+            obs.punt_latency.record_many(sample, billed - slowed)
         return results
 
     def _apply_verdict(self, verdict: Verdict, now: float) -> None:

@@ -37,14 +37,12 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .. import sanitize as _san
-from ..control.core_store import CoreStoreError
 from ..netsim.engine import PeriodicTask
 from ..obs.recorder import NULL_RECORDER
-from .overload import RetryStats, retry_call
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guards
     from ..control.core_store import CoreStore
@@ -319,8 +317,6 @@ class ResilienceAgent:
         self.sn = sn
         self.store = store
         self.resyncs = 0
-        #: Backoff bookkeeping for retried core-store reads.
-        self.retry_stats = RetryStats()
         self._token = store.watch_prefix("resilience/", self._on_update)
 
     def _on_update(self, key: str, op: str, value: Any) -> None:
@@ -329,32 +325,13 @@ class ResilienceAgent:
         self.resync()
 
     def resync(self) -> None:
-        """Recompute this SN's border-peer table from the store.
-
-        Store reads go through :func:`~repro.core.overload.retry_call`
-        (capped decorrelated-jitter backoff, deterministic per-agent): a
-        post-restart resync races the very failover it is catching up on,
-        and a transiently unreachable core must not leave the SN with a
-        half-built border table when the next attempt would have succeeded.
-        """
+        """Recompute this SN's border-peer table from the store."""
         self.resyncs += 1
         store = self.store
-        border = retry_call(
-            lambda: store.get("resilience/border"),
-            retry_on=(CoreStoreError,),
-            stats=self.retry_stats,
-        )
-        for key in retry_call(
-            lambda: store.keys("resilience/remote-border/"),
-            retry_on=(CoreStoreError,),
-            stats=self.retry_stats,
-        ):
+        border = store.get("resilience/border")
+        for key in store.keys("resilience/remote-border/"):
             remote = key.rsplit("/", 1)[1]
-            remote_border = retry_call(
-                lambda key=key: store.get(key),
-                retry_on=(CoreStoreError,),
-                stats=self.retry_stats,
-            )
+            remote_border = store.get(key)
             if remote_border is None:
                 continue
             if border == self.sn.address or border is None:
@@ -385,8 +362,6 @@ class FailoverCoordinator:
         #: Audit log of resilience actions: dicts with at/kind/... keys.
         self.log: list[dict[str, Any]] = []
         self._failed_over: set[str] = set()
-        #: Backoff bookkeeping for retried store publishes and purges.
-        self.retry_stats = RetryStats()
         #: Flight recorder for failover spans; the shared no-op by default.
         #: Each death report opens its own trace (control events are not
         #: part of any packet's ingress trace).
@@ -483,22 +458,12 @@ class FailoverCoordinator:
                 )
         edomain.designate_border(alternate)  # publishes resilience/border
         # Publishing the new border to every remote core and purging the
-        # dead SN are the two writes the whole federation converges on;
-        # transient store trouble retries with bounded backoff rather than
-        # leaving some edomains pointing at a dead border.
+        # dead SN are the two writes the whole federation converges on.
         for remote in remote_domains:
-            retry_call(
-                lambda r=remote: r.store.put(
-                    f"resilience/remote-border/{edomain.name}", alternate
-                ),
-                retry_on=(CoreStoreError,),
-                stats=self.retry_stats,
+            remote.store.put(
+                f"resilience/remote-border/{edomain.name}", alternate
             )
-        purged = retry_call(
-            lambda: edomain.membership_core.purge_sn(dead),
-            retry_on=(CoreStoreError,),
-            stats=self.retry_stats,
-        )
+        purged = edomain.membership_core.purge_sn(dead)
         evicted = 0
         for sn in self.net.all_sns():
             if sn.address != dead:

@@ -29,16 +29,6 @@ class ServiceError(Exception):
     """Raised by modules on unrecoverable per-packet errors."""
 
 
-class ServiceTimeout(ServiceError):
-    """A punt exceeded its slow-path deadline (hung or slowed service).
-
-    Subclasses :class:`ServiceError` so uninstrumented callers keep their
-    existing failed-invocation handling; the terminus catches it first to
-    apply the service's declared degradation mode and feed its circuit
-    breaker.
-    """
-
-
 @dataclass
 class Emit:
     """One outgoing ILP packet requested by a service module.

@@ -287,10 +287,10 @@ class ServiceNode(NetNode):
     def _collect_obs(self) -> None:
         """Copy the stats ledgers into the obs registry (export time only).
 
-        ``overload.sheds`` / ``breaker_trips`` / ``retries`` /
-        ``breakers_open`` are the names dashboards already read, derived
-        here from the ledgers that own them; ``breaker_trips`` therefore
-        restarts with the breakers on a crash.
+        ``overload.sheds`` / ``breaker_trips`` / ``breakers_open`` are the
+        names dashboards already read, derived here from the ledgers that
+        own them; ``breaker_trips`` therefore restarts with the breakers on
+        a crash.
         """
         assert self.obs is not None
         registry = self.obs.registry
@@ -303,10 +303,6 @@ class ServiceNode(NetNode):
         registry.counter("overload.sheds").value = guard.stats.shed_packets
         registry.counter("overload.breaker_trips").value = sum(
             breaker.stats.trips for breaker in guard.breakers.values()
-        )
-        agent = self.resilience_agent
-        registry.counter("overload.retries").value = (
-            agent.retry_stats.retries if agent is not None else 0
         )
         registry.gauge("overload.breakers_open").set(guard.open_count())
 

@@ -1,11 +1,13 @@
 """Properties of the IPC frame codec (``repro.core.ipc``).
 
-* ``decode(encode(x)) == x`` for request frames (punts, with and without
-  deadlines) and response frames (``None`` / ``PuntTimeout`` / verdicts),
-  whether an emit crosses in full or as a back-reference.
+* ``decode(encode(x)) == x`` for request frames (punts) and response
+  frames (``None`` / verdicts), whether an emit crosses in full or as a
+  back-reference.
 * A back-referenced header / payload resolves to the caller's own object.
 * Decoder robustness (ROADMAP 3b): truncated, extended and bit-flipped
   frames raise only ``IPCError`` / ``ILPError`` / ``PacketError``.
+* The boundary carries no deadline and no timeout: request kind 2, punt
+  flag ``0x04`` and result tag 1 are refused with ``IPCError``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.decision_cache import Action, CacheKey, Decision, ForwardTarget
-from repro.core.execution_env import PuntTimeout
 from repro.core.ilp import ILPError, ILPHeader
 from repro.core.ipc import (
     IPCError,
@@ -87,23 +88,7 @@ installs = st.lists(
 emit_plans = st.lists(
     st.tuples(addresses, st.none() | headers, st.none() | payloads), max_size=3
 )
-result_plans = (
-    st.none()
-    | st.just(PuntTimeout())
-    | st.tuples(emit_plans, installs, st.booleans())
-)
-
-
-@st.composite
-def requests(draw):
-    punts = draw(punt_lists)
-    deadlines = draw(
-        st.none()
-        | st.lists(
-            st.none() | seconds, min_size=len(punts), max_size=len(punts)
-        )
-    )
-    return punts, deadlines
+result_plans = st.none() | st.tuples(emit_plans, installs, st.booleans())
 
 
 @st.composite
@@ -131,18 +116,16 @@ def _bind(plan, header, packet):
 
 
 def _response_for(punts, plans):
-    rx_punts, _deadlines, refs = decode_request(encode_request(punts))
+    rx_punts, refs = decode_request(encode_request(punts))
     results = [_bind(plan, *punt) for plan, punt in zip(plans, rx_punts)]
     return encode_response(results, refs), results
 
 
 @settings(max_examples=200, deadline=None)
-@given(requests())
-def test_request_round_trip(request):
-    punts, deadlines = request
-    rx_punts, rx_deadlines, refs = decode_request(encode_request(punts, deadlines))
+@given(punt_lists)
+def test_request_round_trip(punts):
+    rx_punts, refs = decode_request(encode_request(punts))
     assert rx_punts == punts
-    assert rx_deadlines == deadlines
     assert [wire for wire, *_rest in refs] == [h.encode() for h, _p in punts]
     for (rx_header, rx_packet), (header, packet) in zip(rx_punts, punts):
         assert rx_header is not header
@@ -185,8 +168,7 @@ def _mutations(draw, frame: bytes) -> tuple[str, bytes]:
 
 @st.composite
 def mutated_requests(draw):
-    punts, deadlines = draw(requests())
-    return _mutations(draw, encode_request(punts, deadlines))
+    return _mutations(draw, encode_request(draw(punt_lists)))
 
 
 @st.composite
@@ -223,6 +205,23 @@ def test_request_decoder_raises_only_typed_errors(mutated):
 def test_response_decoder_raises_only_typed_errors(mutated):
     punts, (kind, frame) = mutated
     _decode_or_typed_error(kind, lambda: decode_response(frame, punts))
+
+
+@settings(max_examples=100, deadline=None)
+@given(exchanges().filter(lambda exchange: exchange[0]))
+def test_deadline_and_timeout_codes_are_refused(exchange):
+    punts, plans = exchange
+    request = encode_request(punts)
+    # Byte 0 is the frame kind, byte 3 the first punt's flags / result tag.
+    for at, value in ((0, 2), (3, request[3] | 0x04)):
+        bad = bytearray(request)
+        bad[at] = value
+        with pytest.raises(IPCError):
+            decode_request(bytes(bad))
+    response = bytearray(_response_for(punts, plans)[0])
+    response[3] = 1
+    with pytest.raises(IPCError):
+        decode_response(bytes(response), punts)
 
 
 def test_frames_are_not_interchangeable():

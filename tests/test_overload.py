@@ -1,4 +1,4 @@
-"""Overload-resilience layer: breakers, degradation, shedding, retries.
+"""Overload-resilience layer: breakers, degradation, shedding.
 
 Unit coverage for :mod:`repro.core.overload` plus terminus-level
 end-to-end scenarios (deadline misses, degradation modes, breaker trip
@@ -31,9 +31,7 @@ from repro.core.overload import (
     CircuitBreaker,
     DegradeMode,
     OverloadError,
-    RetryStats,
     ServicePolicy,
-    retry_call,
 )
 from repro.core.packet import ILPPacket, L3Header, make_payload
 from repro.core.psp import PSPContext, pairwise_secret
@@ -134,79 +132,6 @@ class TestCircuitBreaker:
             CircuitBreaker(BreakerConfig(open_duration=0.0))
         with pytest.raises(OverloadError):
             CircuitBreaker(BreakerConfig(half_open_probes=0))
-
-
-# -- retry_call -----------------------------------------------------------
-
-
-class _Flaky:
-    def __init__(self, failures: int, exc: type = ValueError) -> None:
-        self.failures = failures
-        self.exc = exc
-        self.calls = 0
-
-    def __call__(self):
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise self.exc("transient")
-        return "ok"
-
-
-class TestRetryCall:
-    def test_succeeds_after_transient_failures(self):
-        stats = RetryStats()
-        fn = _Flaky(2)
-        assert retry_call(fn, attempts=3, stats=stats) == "ok"
-        assert fn.calls == 3
-        assert stats.calls == 1
-        assert stats.retries == 2
-        assert stats.giveups == 0
-        assert stats.backoff_total > 0.0
-
-    def test_exhausted_attempts_reraise_original_type(self):
-        stats = RetryStats()
-        with pytest.raises(ValueError):
-            retry_call(_Flaky(5), attempts=3, stats=stats)
-        assert stats.giveups == 1
-        assert stats.retries == 2
-
-    def test_backoff_schedule_is_deterministic_in_seed(self):
-        a, b = RetryStats(), RetryStats()
-        with pytest.raises(ValueError):
-            retry_call(_Flaky(9), attempts=4, seed=3, stats=a)
-        with pytest.raises(ValueError):
-            retry_call(_Flaky(9), attempts=4, seed=3, stats=b)
-        assert a.backoff_total == b.backoff_total
-
-    def test_deadline_bounds_cumulative_backoff(self):
-        stats = RetryStats()
-        with pytest.raises(ValueError):
-            retry_call(
-                _Flaky(9),
-                attempts=10,
-                base_delay=0.01,
-                max_delay=0.01,
-                deadline=0.015,  # room for one 0.01 backoff, not two
-                stats=stats,
-            )
-        assert stats.retries == 1
-        assert stats.giveups == 1
-
-    def test_non_retryable_exception_propagates_immediately(self):
-        fn = _Flaky(5, exc=KeyError)
-        with pytest.raises(KeyError):
-            retry_call(fn, attempts=5, retry_on=(ValueError,))
-        assert fn.calls == 1
-
-    def test_on_backoff_receives_each_delay(self):
-        seen: list[float] = []
-        retry_call(_Flaky(2), attempts=3, on_backoff=seen.append)
-        assert len(seen) == 2
-        assert all(delay > 0 for delay in seen)
-
-    def test_attempts_validation(self):
-        with pytest.raises(OverloadError):
-            retry_call(lambda: None, attempts=0)
 
 
 # -- stale-decision shelf -------------------------------------------------
@@ -325,8 +250,10 @@ class _ForwardingService(ServiceModule):
 
     SERVICE_ID = VICTIM
     NAME = "forwarding"
+    handled = 0
 
     def handle_packet(self, header, packet):
+        self.handled += 1
         return Verdict.forward(EGRESS, header, packet.payload)
 
     def handle_control(self, header, packet):
@@ -444,6 +371,29 @@ class TestTerminusOverload:
         rig.inject()
         assert rig.terminus.overload.stats.deadline_misses == 0
         assert [peer for peer, _ in rig.sent] == [EGRESS]
+
+    def test_hung_punt_never_crosses(self):
+        # The terminus owns the deadline: a punt its service cannot answer
+        # in time is resolved without a crossing, so the handler never runs.
+        rig = _PuntRig()
+        rig.node.env.inject_hang(VICTIM)
+        rig.inject()
+        assert rig.terminus.overload.stats.deadline_misses == 1
+        assert rig.terminus.channel.stats.invocations == 0
+        assert rig.terminus.channel.stats.batches == 0
+        assert rig.node.env.service(VICTIM).handled == 0
+
+    def test_slowdown_within_deadline_crosses_once_in_the_healthy_frame(self):
+        healthy = _PuntRig()
+        healthy.inject()
+        rig = _PuntRig()
+        rig.node.env.inject_slowdown(VICTIM, 1e-4)
+        rig.inject()
+        channel = rig.terminus.channel.stats
+        assert channel.invocations == channel.batches == 1
+        assert rig.node.env.service(VICTIM).handled == 1
+        # No deadline rides the request: the frame is the fault-free one.
+        assert channel.ipc_bytes == healthy.terminus.channel.stats.ipc_bytes
 
     def test_slowdown_beyond_deadline_times_out(self):
         rig = _PuntRig()
@@ -580,7 +530,6 @@ class TestTerminusOverload:
         assert overload["sheds"] == guard.stats.shed_packets == 1
         assert overload["breaker_trips"] == guard.breakers[VICTIM].stats.trips == 1
         assert overload["breakers_open"] == guard.open_count() == 1
-        assert overload["retries"] == 0  # no resilience agent on this rig
         assert "overload.sheds" in obs.export_table()
 
     def test_crash_resets_breakers_and_clears_shelf(self):
@@ -656,6 +605,25 @@ class TestOneBillingRule:
             crossing / (2 if burst else 1) + 1e-3
         )
         assert rig.terminus.overload.stats.deadline_misses == 2
+
+    def test_slowed_punt_sample_includes_its_delay(self):
+        rig = _PuntRig()
+        obs = rig.node.enable_observability()
+        rig.node.env.inject_slowdown(VICTIM, 1e-4)
+        rig.node.set_service_policy(VICTIM, ServicePolicy(deadline=1e-2))
+        rig.inject()
+        cost = rig.terminus.cost_model
+        billed = (
+            cost.batch_invocation_latency(rig.terminus.channel.mode, 0)
+            + cost.service_packet
+            + 1e-4
+        )
+        assert rig.terminus.pending_delay == pytest.approx(
+            cost.terminus_latency + billed
+        )
+        # The sample and the bill agree: the slowdown is in both.
+        assert obs.punt_latency.count == 1
+        assert obs.punt_latency.total == pytest.approx(billed)
 
     @pytest.mark.parametrize("burst", [False, True])
     def test_every_shed_group_counts_singletons_included(self, burst):
