@@ -1,17 +1,13 @@
-"""Crypto fast-path microbenchmark: seed implementation vs. overhauled one.
-
-The fast-path overhaul (cached :class:`~repro.core.crypto.SealingKey`
-schedules, incremental keystream hashing, word XOR, one-allocation PSP
-framing, memoized ILP encode) must be *measurably* faster and *bit-exactly*
-compatible. This module enforces both:
+"""Crypto fast-path microbenchmark: the seed cipher vs. PSP's AES-GCM.
 
 * ``_legacy_seal``/``_legacy_open`` are a faithful copy of the seed
   implementation (two fresh HMAC subkey derivations per operation, fresh
   ``sha256(key || nonce || ctr)`` per keystream block, per-byte
-  generator-expression XOR). Cross-compatibility is asserted in both
-  directions over a grid of sizes and AADs.
-* The seal+open throughput of the new path must be ≥ 3× the legacy path,
-  measured in the same run on the same machine.
+  generator-expression XOR), kept as the fixed baseline. The wire is not
+  compatible with it: :class:`~repro.core.crypto.SealingKey` is AES-GCM.
+* The seal+open throughput of the current path must be ≥ 3× the legacy
+  path, each side opening its own seals, measured in the same run on the
+  same machine.
 * ``BENCH_crypto.json`` is written at the repo root with pps and µs/op for
   {seal, open, terminus fast-path forward}, legacy baselines, and the
   speedups — so the perf trajectory stays comparable across PRs.
@@ -91,56 +87,23 @@ def _legacy_open(key: bytes, nonce: bytes, sealed: bytes, aad: bytes = b"") -> b
     )
 
 
-# -- cross-compatibility ------------------------------------------------
-
-SIZES = [0, 1, 31, 32, 33, 63, 64, 65, 100, 333, 1024]
+# -- tamper detection ---------------------------------------------------
 
 
 class TestCrossCompat:
-    """Old bytes open under new code and vice versa, bit for bit."""
-
-    @pytest.mark.parametrize("size", SIZES)
-    @pytest.mark.parametrize("aad", [b"", b"aad-context"])
-    def test_seal_open_both_directions(self, size, aad):
-        key = crypto.random_key()
-        gen = crypto.NonceGenerator()
-        plaintext = bytes(range(256)) * (size // 256 + 1)
-        plaintext = plaintext[:size]
-
-        nonce = gen.next()
-        legacy_blob = _legacy_seal(key, nonce, plaintext, aad)
-        new_blob = crypto.seal(key, nonce, plaintext, aad)
-        assert legacy_blob == new_blob
-        assert crypto.open_sealed(key, nonce, legacy_blob, aad) == plaintext
-        assert _legacy_open(key, nonce, new_blob, aad) == plaintext
-
-    @pytest.mark.parametrize("size", SIZES)
-    def test_keystream_identical(self, size):
-        key = crypto.random_key()
-        nonce = crypto.NonceGenerator().next()
-        enc = _legacy_enc_key(key)
-        assert crypto.sealing_key(key).keystream(nonce, size) == _legacy_keystream(
-            enc, nonce, size
-        )
+    """Both ciphers reject a tampered blob."""
 
     def test_tamper_still_detected(self):
         key = crypto.random_key()
         nonce = crypto.NonceGenerator().next()
-        blob = bytearray(crypto.seal(key, nonce, b"payload"))
-        blob[0] ^= 0xFF
-        with pytest.raises(crypto.CryptoError):
-            crypto.open_sealed(key, nonce, bytes(blob))
-        with pytest.raises(crypto.CryptoError):
-            _legacy_open(key, nonce, bytes(blob))
-
-    def test_psp_wire_format_unchanged(self):
-        """A PSP blob still opens via hand-rolled legacy parsing."""
-        secret = pairwise_secret("10.0.0.1", "10.0.0.2")
-        tx = PSPContext(secret)
-        blob = tx.seal(b"ilp header bytes")
-        epoch, nonce = struct.unpack_from(">B8s", blob)
-        key = crypto.derive_key(secret, "psp-epoch", bytes([epoch]))
-        assert _legacy_open(key, nonce, blob[9:]) == b"ilp header bytes"
+        for seal, open_ in (
+            (crypto.seal, crypto.open_sealed),
+            (_legacy_seal, _legacy_open),
+        ):
+            blob = bytearray(seal(key, nonce, b"payload"))
+            blob[0] ^= 0xFF
+            with pytest.raises(crypto.CryptoError):
+                open_(key, nonce, bytes(blob))
 
 
 # -- measurement --------------------------------------------------------
@@ -179,12 +142,13 @@ def test_seal_open_speedup_vs_seed():
     nonce = crypto.NonceGenerator().next()
     plaintext = _header_bytes()
     blob = crypto.seal(key, nonce, plaintext)
+    legacy_blob = _legacy_seal(key, nonce, plaintext)
 
     legacy_seal_pps, legacy_seal_us = _measure(
         lambda: _legacy_seal(key, nonce, plaintext)
     )
     legacy_open_pps, legacy_open_us = _measure(
-        lambda: _legacy_open(key, nonce, blob)
+        lambda: _legacy_open(key, nonce, legacy_blob)
     )
     new_seal_pps, new_seal_us = _measure(lambda: crypto.seal(key, nonce, plaintext))
     new_open_pps, new_open_us = _measure(

@@ -1,32 +1,17 @@
-"""Simulation-grade cryptographic primitives.
+"""Cryptographic primitives: PSP's AEAD, key derivation, nonces, toy signatures.
 
 The paper's ILP uses PSP [34], an AEAD designed for NIC offload that
-operates on individual packets with no inter-packet state. We reproduce the
-*properties* the architecture depends on — per-packet independence,
-pairwise keys, authenticated encryption, cheap key derivation and rotation —
-with stdlib ``hashlib``/``hmac`` building blocks.
+operates on individual packets with no inter-packet state. PSP's cipher is
+AES-GCM, and so is ours: :class:`SealingKey` wraps ``cryptography``'s
+``AESGCM`` under a 256-bit key derived from the caller's key, and every
+packet carries its own 8-byte nonce. GCM needs a 96-bit nonce; the 4 bytes
+that extend the wire nonce carry the sender's direction, the way real PSP
+puts the per-direction SPI there, so the two ends of one pairwise key never
+seal under the same (key, nonce) pair. DESIGN.md §4 records how our wire
+differs from real PSP.
 
-**This is not production cryptography.** The stream cipher is a SHA-256
-counter keystream and the MAC a truncated HMAC; both are fine for a
-simulator (no adversary runs inside the process) and keep the repository
-dependency-free. DESIGN.md §4 records the substitution.
-
-Fast path
----------
-
-Appendix B frames the pipe-terminus as an ASIC-bound datapath; its software
-stand-in must at least be algorithmically lean. Three things make per-packet
-cost here: subkey derivation, keystream generation, and the XOR. The
-:class:`SealingKey` schedule removes the first (the two HMAC-SHA256 subkey
-derivations and the MAC's key-pad absorption happen once per key, not per
-packet), an incremental hash construction removes most of the second (one
-pre-absorbed SHA-256 state is ``copy()``-ed per block instead of rehashing
-``key || nonce`` from scratch), and a single big-int XOR removes the third
-(one C-level operation instead of a per-byte generator expression). The
-wire format and every emitted byte are identical to the original
-implementation — old seals open under the new code and vice versa
-(``benchmarks/test_crypto_fastpath.py`` proves cross-compatibility and
-measures the speedup).
+Key derivation (HMAC-SHA256) and the toy signature scheme stay on stdlib
+``hashlib``/``hmac``; they are off the per-packet path.
 """
 
 from __future__ import annotations
@@ -38,15 +23,18 @@ import os
 import struct
 from dataclasses import dataclass
 
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+
 KEY_SIZE = 32
 TAG_SIZE = 16
 NONCE_SIZE = 8
-_BLOCK = hashlib.sha256().digest_size
 
-# Pre-packed big-endian block counters for the common case (headers span a
-# handful of keystream blocks); larger messages fall back to struct.pack.
-_CTR = [struct.pack(">I", i) for i in range(64)]
-_PACK_CTR = struct.Struct(">I").pack
+#: Directions, i.e. the 4 implicit GCM nonce bytes. A bound security
+#: association seals as the lower or the higher address of its pair;
+#: an unbound key (no endpoints known) seals as ``UNBOUND``.
+UNBOUND, FROM_LOW, FROM_HIGH = 0, 1, 2
+_SALT = {d: d.to_bytes(4, "big") for d in (UNBOUND, FROM_LOW, FROM_HIGH)}
 
 
 class CryptoError(Exception):
@@ -66,102 +54,41 @@ def derive_key(master: bytes, label: str, context: bytes = b"") -> bytes:
     return hmac.new(master, label.encode() + b"\x00" + context, hashlib.sha256).digest()
 
 
-def _xor(data: bytes, stream: bytes) -> bytes:
-    """XOR ``data`` with the first ``len(data)`` bytes of ``stream``.
-
-    One arbitrary-precision int XOR instead of a per-byte generator
-    expression: the conversion and XOR all run in C.
-    """
-    n = len(data)
-    if n == 0:
-        return b""
-    if len(stream) != n:
-        stream = stream[:n]
-    return (
-        int.from_bytes(data, "big") ^ int.from_bytes(stream, "big")
-    ).to_bytes(n, "big")
-
-
 class SealingKey:
-    """Precomputed subkey schedule for one symmetric key.
+    """AES-256-GCM under one key, sealing as one direction.
 
-    Holds everything :func:`seal`/:func:`open_sealed` would otherwise
-    rederive per packet:
+    The GCM nonce is ``direction (4B) || nonce (8B)``. A bound key opens
+    only frames sealed as its own direction (a PSP context opens with the
+    *peer's* direction, so a frame reflected back to its sender fails). An
+    unbound key seals as :data:`UNBOUND` and opens any direction, which is
+    what a hand-built context that knows no endpoints needs.
 
-    * the encryption subkey, pre-absorbed into a SHA-256 state so each
-      keystream block is a ``copy() + update(counter) + digest()``;
-    * the MAC subkey's HMAC inner/outer pads, pre-absorbed into two SHA-256
-      states so a tag is two ``copy() + update + digest()`` rounds — the
-      stdlib ``hmac`` wrapper's per-call object construction and key-pad
-      absorption are hoisted out of the packet path entirely.
-
-    Output is bit-identical to the module-level functions; a schedule is
-    purely a cache.
+    Construction builds the ``AESGCM`` object (~1-2 µs); callers keep the
+    schedule (see :func:`sealing_key`) rather than rebuild it per packet.
     """
 
-    __slots__ = ("key", "_ks_base", "_mac_inner", "_mac_outer")
+    __slots__ = ("key", "direction", "_aead", "_salt", "_open_salts")
 
-    _HMAC_BLOCK = 64  # SHA-256 block size; MAC subkeys (32B) never exceed it
-
-    def __init__(self, key: bytes) -> None:
+    def __init__(self, key: bytes, direction: int = UNBOUND) -> None:
         self.key = key
-        self._ks_base = hashlib.sha256(derive_key(key, "ilp-enc"))
-        # HMAC(k, m) == sha256((k ^ opad) || sha256((k ^ ipad) || m)) for
-        # keys up to one block; pre-absorb both pads.
-        mac_key = derive_key(key, "ilp-mac")
-        pad = mac_key.ljust(self._HMAC_BLOCK, b"\x00")
-        self._mac_inner = hashlib.sha256(bytes(b ^ 0x36 for b in pad))
-        self._mac_outer = hashlib.sha256(bytes(b ^ 0x5C for b in pad))
-
-    def keystream(self, nonce: bytes, length: int) -> bytes:
-        """Counter-mode keystream: SHA256(enc_key || nonce || counter) blocks."""
-        base = self._ks_base.copy()
-        base.update(nonce)
-        if length <= _BLOCK:
-            base.update(_CTR[0])
-            return base.digest()[:length]
-        if length <= 2 * _BLOCK:
-            second = base.copy()
-            base.update(_CTR[0])
-            second.update(_CTR[1])
-            return (base.digest() + second.digest())[:length]
-        blocks = []
-        for counter in range((length + _BLOCK - 1) // _BLOCK):
-            h = base.copy()
-            h.update(_CTR[counter] if counter < 64 else _PACK_CTR(counter))
-            blocks.append(h.digest())
-        return b"".join(blocks)[:length]
-
-    def _tag(self, nonce: bytes, aad: bytes, ciphertext: bytes) -> bytes:
-        inner = self._mac_inner.copy()
-        inner.update(nonce)
-        if aad:
-            inner.update(aad)
-        inner.update(ciphertext)
-        outer = self._mac_outer.copy()
-        outer.update(inner.digest())
-        return outer.digest()[:TAG_SIZE]
+        self.direction = direction
+        self._aead = AESGCM(derive_key(key, "ilp-enc"))
+        self._salt = _SALT[direction]
+        self._open_salts = (
+            tuple(_SALT.values()) if direction == UNBOUND else (self._salt,)
+        )
 
     def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt-then-MAC. Returns ``ciphertext || tag``."""
+        """Encrypt and authenticate. Returns ``ciphertext || tag``."""
         if len(nonce) != NONCE_SIZE:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ciphertext = _xor(plaintext, self.keystream(nonce, len(plaintext)))
-        return ciphertext + self._tag(nonce, aad, ciphertext)
+        return self._aead.encrypt(self._salt + nonce, plaintext, aad or None)
 
     def seal_into(
         self, out: bytearray, nonce: bytes, plaintext: bytes, aad: bytes = b""
     ) -> bytearray:
-        """Like :meth:`seal`, but appends to ``out`` in place.
-
-        Avoids the ``ciphertext + tag`` intermediate so callers building a
-        framed blob (PSP prepends ``epoch || nonce``) allocate once.
-        """
-        if len(nonce) != NONCE_SIZE:
-            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ciphertext = _xor(plaintext, self.keystream(nonce, len(plaintext)))
-        out += ciphertext
-        out += self._tag(nonce, aad, ciphertext)
+        """Like :meth:`seal`, but appends to ``out`` in place."""
+        out += self.seal(nonce, plaintext, aad)
         return out
 
     def seal_scatter(
@@ -176,53 +103,21 @@ class SealingKey:
         The scatter-gather egress primitive: a terminus coalescing several
         flow groups toward one next hop seals each group's header wire form
         under that group's span of ``nonces`` (``count`` consecutive ones,
-        in item order), with the hash-state bases and framing loaded once
-        for the whole scatter and everything that does not depend on the
-        nonce (plaintext big-int conversion, block-count branch) hoisted
-        out of each run's loop. Returns one ``prefix || nonce ||
-        ciphertext || tag`` blob per nonce, in nonce order, each
-        byte-identical to framing :meth:`seal` output by hand with the
-        same nonce.
+        in item order). Returns one ``prefix || nonce || ciphertext || tag``
+        blob per nonce, in nonce order, each byte-identical to framing
+        :meth:`seal` output by hand with the same nonce.
         """
         if nonces and len(nonces[0]) != NONCE_SIZE:
             raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
-        ks_base = self._ks_base
-        mac_inner = self._mac_inner
-        mac_outer = self._mac_outer
-        ctr0 = _CTR[0]
-        keystream = self.keystream
-        tag_size = TAG_SIZE
+        encrypt = self._aead.encrypt
+        salt = self._salt
+        ad = aad or None
         frames: list[bytes] = []
         append = frames.append
         start = 0
         for plaintext, count in items:
-            n = len(plaintext)
-            pt_int = int.from_bytes(plaintext, "big")
-            single_block = n <= _BLOCK
             for nonce in nonces[start : start + count]:
-                if single_block:
-                    h = ks_base.copy()
-                    h.update(nonce)
-                    h.update(ctr0)
-                    stream = h.digest()
-                    if n:
-                        ciphertext = (
-                            pt_int ^ int.from_bytes(stream[:n], "big")
-                        ).to_bytes(n, "big")
-                    else:
-                        ciphertext = b""
-                else:
-                    ciphertext = (
-                        pt_int ^ int.from_bytes(keystream(nonce, n), "big")
-                    ).to_bytes(n, "big")
-                inner = mac_inner.copy()
-                inner.update(nonce)
-                if aad:
-                    inner.update(aad)
-                inner.update(ciphertext)
-                outer = mac_outer.copy()
-                outer.update(inner.digest())
-                append(prefix + nonce + ciphertext + outer.digest()[:tag_size])
+                append(prefix + nonce + encrypt(salt + nonce, plaintext, ad))
             start += count
         return frames
 
@@ -230,29 +125,33 @@ class SealingKey:
         """Verify and decrypt output of :meth:`seal`.
 
         Raises:
-            CryptoError: if the tag does not verify (tampering or wrong key).
+            CryptoError: if the tag does not verify (tampering, truncation,
+                wrong key or wrong direction).
         """
-        if len(sealed) < TAG_SIZE:
-            raise CryptoError("sealed blob too short")
-        ciphertext, tag = sealed[:-TAG_SIZE], sealed[-TAG_SIZE:]
-        if not hmac.compare_digest(tag, self._tag(nonce, aad, ciphertext)):
-            raise CryptoError("authentication tag mismatch")
-        return _xor(ciphertext, self.keystream(nonce, len(ciphertext)))
+        if len(nonce) != NONCE_SIZE:
+            raise CryptoError(f"nonce must be {NONCE_SIZE} bytes")
+        ad = aad or None
+        for salt in self._open_salts:
+            try:
+                return self._aead.decrypt(salt + nonce, sealed, ad)
+            except InvalidTag:
+                continue
+        raise CryptoError("authentication tag mismatch")
 
 
 @functools.lru_cache(maxsize=1024)
-def sealing_key(key: bytes) -> SealingKey:
+def sealing_key(key: bytes, direction: int = UNBOUND) -> SealingKey:
     """The (LRU-bounded, process-wide) schedule cache for ``key``.
 
     Long-lived holders (PSP contexts keep one per epoch) should retain the
     returned object; transient callers go through :func:`seal`/
     :func:`open_sealed`, which consult this cache.
     """
-    return SealingKey(key)
+    return SealingKey(key, direction)
 
 
 def seal(key: bytes, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-    """Encrypt-then-MAC. Returns ``ciphertext || tag``.
+    """Encrypt and authenticate under an unbound key. Returns ``ciphertext || tag``.
 
     The nonce is caller-supplied (PSP carries it in the packet) and MUST be
     unique per (key, packet); :class:`NonceGenerator` provides that.

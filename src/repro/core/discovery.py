@@ -13,13 +13,14 @@ implemented against a per-IESP directory of advertised SNs:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Optional
 
 from ..netsim.node import NetNode
 from .host import Host
 from .service_node import ServiceNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class DiscoveryError(Exception):
@@ -86,6 +87,8 @@ class DiscoveryDirectory:
         ]
         if not candidates:
             raise DiscoveryError(f"no advertised SN for iesp={iesp!r}")
+        import networkx as nx
+
         graph = _reachability_graph(host, [ad.sn for ad in candidates])
         best: Optional[Advertisement] = None
         best_key: tuple[float, float] = (float("inf"), float("inf"))
@@ -107,6 +110,8 @@ class DiscoveryDirectory:
 
 def _reachability_graph(host: Host, sns: list[ServiceNode]) -> nx.Graph:
     """BFS outward from the host over links, collecting a latency graph."""
+    import networkx as nx
+
     graph = nx.Graph()
     seen: set[NetNode] = set()
     frontier: list[NetNode] = [host]

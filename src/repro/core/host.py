@@ -26,7 +26,7 @@ from ..netsim.node import NetNode
 from .crypto import KeyPair
 from .ilp import Flags, ILPError, ILPHeader, TLV, new_connection_id
 from .packet import ILPPacket, L3Header, Payload, RawIPPacket, make_payload
-from .psp import PSPError, PeerKeyStore, pairwise_secret
+from .psp import PSPError, PeerKeyStore, associate
 
 
 class HostError(Exception):
@@ -189,9 +189,7 @@ class Host(NetNode):
 
     def _ensure_direct_association(self, other: "Host") -> None:
         if not self.keystore.has(other.address):
-            secret = pairwise_secret(self.address, other.address)
-            self.keystore.establish(other.address, secret)
-            other.keystore.establish(self.address, secret)
+            associate(self, other)
         self._addr_to_node[other.address] = other
         other._addr_to_node[self.address] = self
 

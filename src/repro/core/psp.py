@@ -7,18 +7,25 @@ PSP's properties that ILP relies on (§4):
 * every packet is independently decryptable (the nonce travels with it), so
   out-of-order arrival imposes no state or reordering requirements;
 * keys rotate without dropping in-flight packets (epoch byte selects the
-  key; the previous epoch stays valid during a grace window).
+  key; the previous epoch stays valid during a grace window);
+* one SA per direction: both ends share the pairwise key, but each seals
+  as its own direction (fixed at :meth:`PeerKeyStore.establish` from the
+  ordered address pair), so their nonce spaces never meet and a frame
+  reflected back to its sender fails authentication.
 
-Wire format of the sealed ILP header::
+Wire format of the sealed ILP header (AES-256-GCM)::
 
-    | epoch (1B) | nonce (8B) | ciphertext+tag (variable) |
+    | epoch (1B) | nonce (8B) | ciphertext (variable) | tag (16B) |
+
+The GCM nonce is ``direction (4B) || nonce (8B)``; the direction never
+travels.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Protocol
 
 from .. import sanitize as _san
 from . import crypto
@@ -40,15 +47,24 @@ class PSPStats:
     bytes_sealed: int = 0
 
 
+def _direction(sender: str, receiver: str) -> int:
+    return crypto.FROM_LOW if sender < receiver else crypto.FROM_HIGH
+
+
 class PSPContext:
-    """One direction-agnostic security association between two ILP peers.
+    """One end of a security association between two ILP peers.
 
     Both peers construct a context from the same master secret (established
-    at association time — host↔SN registration or SN↔SN pipe setup).
+    at association time — host↔SN registration or SN↔SN pipe setup). Given
+    its ``(local, peer)`` endpoint addresses, the context is bound: it seals
+    as ``local → peer`` and opens only ``peer → local``. Without them it is
+    unbound: it seals as :data:`crypto.UNBOUND` and opens any direction.
     """
 
     __slots__ = (
         "_master",
+        "_send_dir",
+        "_recv_dir",
         "_epoch",
         "_keys",
         "_seal_key",
@@ -58,17 +74,29 @@ class PSPContext:
         "_san_hwm",
     )
 
-    def __init__(self, master_secret: bytes, epoch: int = 0) -> None:
+    def __init__(
+        self,
+        master_secret: bytes,
+        epoch: int = 0,
+        *,
+        endpoints: Optional[tuple[str, str]] = None,
+    ) -> None:
         if len(master_secret) < 16:
             raise PSPError("master secret too short")
         self._master = master_secret
+        if endpoints is None:
+            self._send_dir = self._recv_dir = crypto.UNBOUND
+        else:
+            local, peer = endpoints
+            self._send_dir = _direction(local, peer)
+            self._recv_dir = _direction(peer, local)
         self._epoch = epoch & 0xFF
-        #: epoch -> ready-to-use subkey schedule. Rotation builds the new
-        #: epoch's schedule exactly once; the per-packet path never derives.
+        #: epoch -> ready-to-use opening schedule. Rotation builds the new
+        #: epoch's schedules exactly once; the per-packet path never derives.
         self._keys: dict[int, crypto.SealingKey] = {
             self._epoch: self._epoch_schedule(self._epoch)
         }
-        self._seal_key = self._keys[self._epoch]
+        self._seal_key = self._sealing_schedule(self._epoch)
         self._prefix = bytes([self._epoch])
         self._nonce = crypto.NonceGenerator()
         self.stats = PSPStats()
@@ -89,14 +117,14 @@ class PSPContext:
         return tuple(sorted(self._keys))
 
     def cached_schedule(self, epoch: int) -> Optional[crypto.SealingKey]:
-        """The resident schedule for ``epoch``, or None (never derives)."""
+        """The resident opening schedule for ``epoch``, or None (never derives)."""
         return self._keys.get(epoch)
 
     def _san_check_nonce(self, nonce: bytes) -> None:
         """Armed check: nonces within one epoch must strictly increase.
 
-        Nonce reuse under one key voids the keystream's confidentiality, so
-        any repeat or regression is an immediate
+        Nonce reuse under one GCM key voids confidentiality and lets an
+        attacker forge tags, so any repeat or regression is an immediate
         :class:`~repro.sanitize.SanitizeError`.
         """
         value = int.from_bytes(nonce, "big")
@@ -112,7 +140,10 @@ class PSPContext:
         return crypto.derive_key(self._master, "psp-epoch", bytes([epoch]))
 
     def _epoch_schedule(self, epoch: int) -> crypto.SealingKey:
-        return crypto.sealing_key(self._epoch_key(epoch))
+        return crypto.sealing_key(self._epoch_key(epoch), self._recv_dir)
+
+    def _sealing_schedule(self, epoch: int) -> crypto.SealingKey:
+        return crypto.sealing_key(self._epoch_key(epoch), self._send_dir)
 
     def rotate(self) -> int:
         """Advance to the next epoch; the prior epoch stays accepted.
@@ -128,29 +159,21 @@ class PSPContext:
             previous: self._keys[previous],
             self._epoch: self._epoch_schedule(self._epoch),
         }
-        self._seal_key = self._keys[self._epoch]
+        self._seal_key = self._sealing_schedule(self._epoch)
         self._prefix = bytes([self._epoch])
         self.stats.rekeys += 1
         return self._epoch
 
     def seal(self, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt an ILP header for the peer.
-
-        Single-allocation fast path: the ``epoch || nonce || ct || tag``
-        frame is assembled in one growing buffer via
-        :meth:`crypto.SealingKey.seal_into` (no intermediate
-        ``ciphertext + tag`` copy, no struct call).
-        """
+        """Encrypt an ILP header for the peer: ``epoch || nonce || ct || tag``."""
         nonce = self._nonce.next()
         if _san.ENABLED:
             self._san_check_nonce(nonce)
-        out = bytearray(self._prefix)
-        out += nonce
-        self._seal_key.seal_into(out, nonce, plaintext, aad)
+        frame = self._prefix + nonce + self._seal_key.seal(nonce, plaintext, aad)
         stats = self.stats
         stats.packets_sealed += 1
         stats.bytes_sealed += len(plaintext)
-        return bytes(out)
+        return frame
 
     def seal_batch(self, plaintexts, aad: bytes = b"") -> list[bytes]:
         """Seal many plaintexts back-to-back: a gather of runs of one."""
@@ -233,6 +256,7 @@ class PSPContext:
                 authentication tag fails.
         """
         if len(blob) < _HEADER_SIZE + crypto.TAG_SIZE:
+            self.stats.auth_failures += 1
             raise PSPError("PSP blob too short")
         epoch = blob[0]
         nonce = blob[1:_HEADER_SIZE]
@@ -270,8 +294,17 @@ class PeerKeyStore:
 
     contexts: dict[str, PSPContext] = field(default_factory=dict)
 
-    def establish(self, peer: str, master_secret: bytes) -> PSPContext:
-        ctx = PSPContext(master_secret)
+    def establish(
+        self, peer: str, master_secret: bytes, local: Optional[str] = None
+    ) -> PSPContext:
+        """Install the context for ``peer``.
+
+        With ``local`` (this node's address) the context is bound, its
+        direction fixed from the ordered ``(local, peer)`` pair; every
+        association the federation makes goes through :func:`associate`,
+        which passes it. Without, it is unbound (a hand-built peer).
+        """
+        ctx = PSPContext(master_secret, endpoints=None if local is None else (local, peer))
         self.contexts[peer] = ctx
         return ctx
 
@@ -304,3 +337,16 @@ def pairwise_secret(addr_a: str, addr_b: str, realm: bytes = b"interedge") -> by
         "pair",
         f"{lo}|{hi}".encode(),
     )
+
+
+class _Endpoint(Protocol):
+    __slots__ = ()
+    address: str
+    keystore: PeerKeyStore
+
+
+def associate(a: _Endpoint, b: _Endpoint) -> None:
+    """Create both ends of the ``a ↔ b`` PSP association, one SA per direction."""
+    secret = pairwise_secret(a.address, b.address)
+    a.keystore.establish(b.address, secret, local=a.address)
+    b.keystore.establish(a.address, secret, local=b.address)

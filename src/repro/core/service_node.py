@@ -34,7 +34,7 @@ from .ipc import CostModel, InvocationMode
 from .overload import AdmissionConfig, ServicePolicy
 from .packet import ILPPacket, Payload, RawIPPacket
 from .pipe_terminus import PipeTerminus
-from .psp import PeerKeyStore, pairwise_secret
+from .psp import PeerKeyStore, associate
 from .resilience import KeepaliveFrame, PipeHealthMonitor
 from .service_module import ServiceModule, Verdict
 
@@ -166,9 +166,7 @@ class ServiceNode(NetNode):
         ``host`` is a :class:`repro.core.host.Host`; typed as Any to avoid a
         circular import.
         """
-        secret = pairwise_secret(self.address, host.address)
-        self.keystore.establish(host.address, secret)
-        host.keystore.establish(self.address, secret)
+        associate(self, host)
         self._addr_to_node[host.address] = host
         host.register_first_hop(self)
         self._associated_hosts.add(host.address)
@@ -177,9 +175,7 @@ class ServiceNode(NetNode):
         """Create (or reuse) an SN↔SN pipe with a fresh PSP association."""
         if not self.has_link_to(other):
             Link(self.sim, self, other, latency=latency)
-        secret = pairwise_secret(self.address, other.address)
-        self.keystore.establish(other.address, secret)
-        other.keystore.establish(self.address, secret)
+        associate(self, other)
         self._addr_to_node[other.address] = other
         other._addr_to_node[self.address] = self
         # Pipes created after monitoring started are watched immediately

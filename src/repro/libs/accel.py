@@ -45,8 +45,8 @@ class AcceleratedCryptoLibrary(CryptoLibrary):
     virtual cost so cost models and capacity planning see the speedup.
     """
 
-    #: virtual seconds per byte in pure software (calibrated to the
-    #: simulation-grade cipher, not real silicon)
+    #: virtual seconds per byte in pure software (a modeled constant, not
+    #: measured on real silicon)
     SOFTWARE_COST_PER_BYTE = 12e-9
 
     def __init__(self, profile: AcceleratorProfile = DEFAULT_PROFILE) -> None:

@@ -1,6 +1,6 @@
-"""Cryptography library for service modules (the AES-NI stand-in).
+"""Cryptography library for service modules.
 
-Wraps the repository's simulation-grade primitives behind the interface a
+Wraps the repository's primitives (AES-256-GCM sealing) behind the interface a
 service module uses: payload encryption (distinct from ILP header PSP),
 hashing, HMAC, and layered "onion" wrapping for relay/mixnet services.
 """

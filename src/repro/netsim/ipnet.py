@@ -22,8 +22,6 @@ import ipaddress
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import networkx as nx
-
 
 class IPNetError(Exception):
     """Raised for invalid underlay configuration."""
@@ -71,6 +69,8 @@ class ASGraph:
     """An AS-level topology with path-vector route computation."""
 
     def __init__(self) -> None:
+        import networkx as nx
+
         self.graph = nx.Graph()
         self.ases: dict[int, AutonomousSystem] = {}
         # prefix -> set of origin ASNs currently announcing it
@@ -108,6 +108,8 @@ class ASGraph:
         Equivalent to full path-vector convergence with shortest-path
         selection; rebuilt wholesale since topologies here are small.
         """
+        import networkx as nx
+
         for system in self.ases.values():
             system.rib.clear()
         for prefix, origins in self._origins.items():
@@ -170,6 +172,8 @@ def build_random_as_graph(
     which matches the Internet's heavy-tailed degree distribution)."""
     if n_ases < degree + 1:
         raise IPNetError("need more ASes than the attachment degree")
+    import networkx as nx
+
     raw = nx.barabasi_albert_graph(n_ases, degree, seed=seed)
     asgraph = ASGraph()
     for node in raw.nodes:

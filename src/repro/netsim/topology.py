@@ -8,13 +8,14 @@ graphs loaded from ``networkx``.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Optional
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
 from .engine import Simulator
 from .link import Link
 from .node import NetNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Topology:
@@ -61,6 +62,8 @@ class Topology:
 
     def to_networkx(self) -> nx.Graph:
         """Export as a ``networkx`` graph with latency edge weights."""
+        import networkx as nx
+
         graph = nx.Graph()
         for name in self.nodes:
             graph.add_node(name)
@@ -70,6 +73,8 @@ class Topology:
 
     def shortest_path(self, src: str, dst: str) -> list[str]:
         """Latency-weighted shortest node-name path."""
+        import networkx as nx
+
         return nx.shortest_path(self.to_networkx(), src, dst, weight="latency")
 
 

@@ -8,12 +8,9 @@ given a seed and drive any callable sink on the simulator clock.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
-
-import numpy as np
 
 from .engine import Simulator
 
@@ -182,6 +179,8 @@ class ZipfRequestStream:
             raise WorkloadError("catalog must be non-empty")
         if self.alpha <= 0:
             raise WorkloadError("alpha must be positive")
+        import numpy as np
+
         ranks = np.arange(1, self.catalog_size + 1, dtype=float)
         weights = ranks ** (-self.alpha)
         self._probs = weights / weights.sum()

@@ -12,8 +12,8 @@ We model the parts of WireGuard that cost anything at that scale:
 * keepalives (32 B) on their own timer;
 * transport-data encapsulation overhead (32 B/packet) for completeness.
 
-Message *sizes* follow the WireGuard wire format; message *contents* use
-the repository's simulation-grade crypto (DESIGN.md §4).
+Message *sizes* follow the WireGuard wire format; message *contents* are
+sealed with the repository's AES-GCM primitive, not ChaCha20-Poly1305.
 """
 
 from __future__ import annotations
