@@ -3,7 +3,7 @@
 The InterEdge reproduction depends on invariants no generic linter checks:
 bit-deterministic fault replay, byte-identical batch vs. per-packet
 forwarding, and per-epoch nonce discipline in the PSP-style per-hop
-crypto. This package turns those conventions into machine-checked rules,
+crypto. This package turns the syntactic ones into machine-checked rules,
 runnable as ``python -m repro.analysis``:
 
 ============  ==========================================================
@@ -27,36 +27,28 @@ Rule          What it enforces
               other than ``self``/``cls`` only in the module that owns
               it (assigns it on ``self``, declares it in ``__slots__``
               or a class body).
-``RES001``    Every watch registration (``watch`` / ``watch_prefix`` /
-              ``watch_group``) in a class has a matching teardown call
-              in the same class — watches must not leak.
-``DET003``    *Whole-program.* Every ``random.Random(seed)`` /
-              ``.reseed(x)`` argument must dataflow back to a
-              constructor parameter, config field, or literal — never
-              ``os.urandom``, ``id()``, ``hash()``, wall clocks, or
-              set/dict iteration order.
-``LEDGER001`` *Whole-program.* Every counter field on a ``*Stats``
-              dataclass has at least one write site somewhere in the
-              program, and every field named by a
-              ``CONSERVATION_LEDGERS`` declaration exists on its class.
 ============  ==========================================================
 
-The whole-program rules run on a project-wide symbol table
-(:mod:`repro.analysis.symbols`): module-qualified names for functions,
-methods and classes, import-resolved external calls, and conservative
-receiver-type inference from annotations and dataclass fields for
-attribute writes. There are no call edges. Resolution caveats are
-documented in ``docs/API.md``.
+Each rule is one AST pass over one module; there is no whole-program
+pass.
 
 A finding can be waived inline with ``# repro: allow(CODE) reason`` on
 the offending line or the line above; waivers are deliberate, reviewed
 exceptions (e.g. the entropy boundary in ``core/crypto.py``).
 
-Two invariants that used to be syntactic rules are checked where they
-can be checked exactly: wire-path classes declare ``__slots__`` and pair
-``encode``/``decode`` (``tests/test_ilp_packet.py`` inspects the imported
-classes), and every span is closed (``tests/test_obs_conformance.py``
-checks real traces).
+Invariants that are properties of runs are checked on runs, in tier-1:
+
+* seeds never come from set order or ``id()`` — every seeding in
+  ``src/repro`` is logged under ``PYTHONHASHSEED`` 0, 1 and 7 and the
+  logs must match (``tests/test_hash_seed.py``);
+* every ``*Stats`` counter moves in some test (a session check in
+  ``tests/conftest.py``), and every ``CONSERVATION_LEDGERS`` field exists
+  (``tests/test_sanitize.py``);
+* control-plane watches end where they started
+  (``tests/test_watch_teardown.py``);
+* wire-path classes declare ``__slots__`` and pair ``encode``/``decode``
+  (``tests/test_ilp_packet.py``), and every span is closed
+  (``tests/test_obs_conformance.py``).
 
 The static rules are paired with a *sanitizer mode*
 (:mod:`repro.sanitize`): ``REPRO_SANITIZE=1`` arms debug-build runtime
@@ -67,14 +59,12 @@ from __future__ import annotations
 
 from .engine import Finding, ModuleContext, analyze_file, analyze_paths
 from .rules import ALL_RULES, RULE_DOCS
-from .symbols import SymbolTable
 
 __all__ = [
     "ALL_RULES",
     "RULE_DOCS",
     "Finding",
     "ModuleContext",
-    "SymbolTable",
     "analyze_file",
     "analyze_paths",
 ]

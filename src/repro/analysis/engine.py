@@ -1,16 +1,9 @@
 """Analysis engine: file walking, module context, and waivers.
 
 The engine parses each Python file once into a :class:`ModuleContext`
-(AST + waiver map + ownership facts) and hands it to every applicable
-rule. Two rule shapes exist:
-
-* **per-module** rules — plain callables ``rule(ctx) -> list[Finding]``
-  registered in :mod:`repro.analysis.rules`;
-* **interprocedural** rules — callables
-  ``rule(program: SymbolTable) -> list[Finding]`` (marked with
-  ``rule.interprocedural = True``) registered in
-  :mod:`repro.analysis.iprules`, which run once over the whole-program
-  symbol table built from every parsed module.
+(AST + waiver map + ownership facts) and hands it to every rule: plain
+callables ``rule(ctx) -> list[Finding]`` registered in
+:mod:`repro.analysis.rules`.
 """
 
 from __future__ import annotations
@@ -44,20 +37,10 @@ class Finding:
 class ModuleContext:
     """Everything a rule needs to know about one parsed module."""
 
-    __slots__ = (
-        "path",
-        "rel_path",
-        "source",
-        "tree",
-        "is_test",
-        "suppressions",
-        "owned_privates",
-    )
+    __slots__ = ("rel_path", "tree", "is_test", "suppressions", "owned_privates")
 
-    def __init__(self, path: Path, rel_path: str, source: str) -> None:
-        self.path = path
+    def __init__(self, rel_path: str, source: str) -> None:
         self.rel_path = rel_path
-        self.source = source
         self.tree = ast.parse(source, filename=rel_path)
         parts = rel_path.replace("\\", "/").split("/")
         self.is_test = "tests" in parts or parts[-1].startswith("test_")
@@ -166,13 +149,8 @@ def _collect_owned_privates(tree: ast.Module) -> frozenset[str]:
     return frozenset(owned)
 
 
-#: Per-module rule: ``rule(ctx) -> findings``. Interprocedural rules take
-#: a SymbolTable instead and are marked ``rule.interprocedural = True``.
-Rule = Callable[..., list[Finding]]
-
-
-def is_interprocedural(rule: Rule) -> bool:
-    return bool(getattr(rule, "interprocedural", False))
+#: A rule: ``rule(ctx) -> findings``.
+Rule = Callable[[ModuleContext], list[Finding]]
 
 
 def rule_code(rule: Rule) -> str:
@@ -185,11 +163,7 @@ def analyze_file(
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> list[Finding]:
-    """Run ``rules`` (default: all) over one ``.py`` file.
-
-    Interprocedural rules see a one-module program — enough for
-    self-contained fixtures; use :func:`analyze_paths` for real trees.
-    """
+    """Run ``rules`` (default: all) over one ``.py`` file."""
     return analyze_paths([path], root, rules)
 
 
@@ -208,23 +182,16 @@ def analyze_paths(
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
 ) -> list[Finding]:
-    """Run the rule set over every ``.py`` file under ``paths``.
-
-    Per-module rules run file by file; the interprocedural rules run once
-    over the symbol table of every file that parsed.
-    """
+    """Run the rule set over every ``.py`` file under ``paths``."""
     from .rules import ALL_RULES
 
     if rules is None:
         rules = ALL_RULES
-    module_rules = [rule for rule in rules if not is_interprocedural(rule)]
-    program_rules = [rule for rule in rules if is_interprocedural(rule)]
     findings: list[Finding] = []
-    contexts: list[ModuleContext] = []
     for file_path in iter_python_files(paths):
         rel = str(file_path.relative_to(root)) if root is not None else str(file_path)
         try:
-            ctx = ModuleContext(file_path, rel, file_path.read_text(encoding="utf-8"))
+            ctx = ModuleContext(rel, file_path.read_text(encoding="utf-8"))
         except SyntaxError as exc:
             findings.append(
                 Finding(
@@ -236,14 +203,7 @@ def analyze_paths(
                 )
             )
             continue
-        contexts.append(ctx)
-        for rule in module_rules:
+        for rule in rules:
             findings.extend(rule(ctx))
-    if program_rules and contexts:
-        from .symbols import SymbolTable  # circular: symbols builds on this module
-
-        program = SymbolTable(contexts)
-        for rule in program_rules:
-            findings.extend(rule(program))
     findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return findings

@@ -1,9 +1,8 @@
-"""The rule catalog: DET001, DET002, RES001 (+ DET003, LEDGER001).
+"""The rule catalog: DET001 and DET002.
 
-Each per-module rule is a callable ``rule(ctx: ModuleContext) ->
-list[Finding]``. Applicability by file kind is decided here (the
-determinism rule does not run over test files; reach-in and watch-leak
-rules do).
+Each rule is a callable ``rule(ctx: ModuleContext) -> list[Finding]``.
+Applicability by file kind is decided here (the determinism rule does not
+run over test files; the reach-in rule does).
 """
 
 from __future__ import annotations
@@ -276,67 +275,8 @@ def rule_det002(ctx: ModuleContext) -> list[Finding]:
     return findings
 
 
-# --------------------------------------------------------------------------
-# RES001 — every watch registration has a matching teardown
-# --------------------------------------------------------------------------
-
-_WATCH_PAIRS = {
-    "watch": "unwatch",
-    "watch_prefix": "unwatch_prefix",
-    "watch_group": "unwatch_group",
-}
-
-
-def _calls_in(node: ast.AST) -> set[str]:
-    out: set[str] = set()
-    for inner in ast.walk(node):
-        if isinstance(inner, ast.Call) and isinstance(inner.func, ast.Attribute):
-            out.add(inner.func.attr)
-    return out
-
-
-def rule_res001(ctx: ModuleContext) -> list[Finding]:
-    """RES001: watch registrations pair with teardowns, per class."""
-    findings: list[Finding] = []
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        method_names = {
-            stmt.name for stmt in node.body if isinstance(stmt, ast.FunctionDef)
-        }
-        calls = _calls_in(node)
-        for register, teardown in _WATCH_PAIRS.items():
-            if register not in calls:
-                continue
-            # The class providing the watch API itself is not a consumer.
-            if register in method_names:
-                continue
-            if teardown in calls:
-                continue
-            # Locate the first offending call for a precise location.
-            for inner in ast.walk(node):
-                if (
-                    isinstance(inner, ast.Call)
-                    and isinstance(inner.func, ast.Attribute)
-                    and inner.func.attr == register
-                ):
-                    found = ctx.finding(
-                        inner,
-                        "RES001",
-                        f"class {node.name} registers a {register}() "
-                        f"subscription but never calls {teardown}(); "
-                        "watches must not leak",
-                    )
-                    if found is not None:
-                        findings.append(found)
-                    break
-    return findings
-
-
-from .iprules import rule_det003, rule_ledger001  # noqa: E402  (catalog assembly)
-
-#: Per-module rules first, then the whole-program (interprocedural) ones.
-ALL_RULES = (rule_det001, rule_det002, rule_res001, rule_det003, rule_ledger001)
+#: The catalog, in report order.
+ALL_RULES = (rule_det001, rule_det002)
 
 RULE_DOCS = {
     "DET001": "no unseeded nondeterminism (global RNG, wall clock, "
@@ -344,9 +284,4 @@ RULE_DOCS = {
     "blocking/out-of-simulation primitive (sockets, subprocess, threads, "
     "asyncio, time.sleep) or pickle anywhere in non-test code",
     "DET002": "no cross-module reach-ins to private attributes",
-    "RES001": "every watch registration has a matching teardown",
-    "DET003": "[whole-program] RNG seeds must dataflow from parameters, "
-    "config fields, or literals — never entropy or set/dict iteration",
-    "LEDGER001": "[whole-program] every *Stats counter has a write site "
-    "and conservation-ledger declarations name real fields",
 }

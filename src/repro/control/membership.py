@@ -51,7 +51,7 @@ class GroupView:
     local_member_sns: set[str] = field(default_factory=set)
     watching: bool = False
     #: core-store watch token, held so the watch can be torn down when the
-    #: last local sender unregisters (RES001: watches must not leak)
+    #: last local sender unregisters (tests/test_watch_teardown.py)
     watch_token: Optional[int] = None
 
 

@@ -247,10 +247,19 @@ class InterEdge:
         return coordinator
 
     def disable_resilience(self) -> None:
-        """Stop all health monitors (lets a finished simulation drain)."""
+        """Undo :meth:`enable_resilience` (lets a finished simulation drain).
+
+        Stops every health monitor, detaches every SN's resilience agent
+        from its core store and drops the coordinator, so a later
+        :meth:`enable_resilience` rebuilds both.
+        """
         for sn in self.all_sns():
             if sn.health is not None:
                 sn.health.stop()
+            if sn.resilience_agent is not None:
+                sn.resilience_agent.detach()
+                sn.resilience_agent = None
+        self.coordinator = None
 
     def establish_direct(self, sn_a: ServiceNode, sn_b: ServiceNode, latency: float = 0.008) -> None:
         """On-demand direct pipe between SNs in different edomains (§3.2)."""

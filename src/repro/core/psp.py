@@ -9,9 +9,9 @@ PSP's properties that ILP relies on (§4):
 * keys rotate without dropping in-flight packets (epoch byte selects the
   key; the previous epoch stays valid during a grace window);
 * one SA per direction: both ends share the pairwise key, but each seals
-  as its own direction (fixed at :meth:`PeerKeyStore.establish` from the
-  ordered address pair), so their nonce spaces never meet and a frame
-  reflected back to its sender fails authentication.
+  as its own direction (fixed at :func:`associate` from the ordered
+  address pair), so their nonce spaces never meet and a frame reflected
+  back to its sender fails authentication.
 
 Wire format of the sealed ILP header (AES-256-GCM)::
 
@@ -261,19 +261,21 @@ class PSPContext:
         epoch = blob[0]
         nonce = blob[1:_HEADER_SIZE]
         schedule = self._keys.get(epoch)
-        if schedule is None:
-            # A peer may be one epoch ahead of us; derive forward once.
-            if epoch == ((self._epoch + 1) & 0xFF):
-                schedule = self._epoch_schedule(epoch)
-                self._keys[epoch] = schedule
-            else:
-                self.stats.auth_failures += 1
-                raise PSPError(f"unknown PSP epoch {epoch}")
+        # A peer may be one epoch ahead of us: derive forward, and keep the
+        # schedule only once a frame under it authenticates.
+        ahead = schedule is None and epoch == ((self._epoch + 1) & 0xFF)
+        if ahead:
+            schedule = self._epoch_schedule(epoch)
+        elif schedule is None:
+            self.stats.auth_failures += 1
+            raise PSPError(f"unknown PSP epoch {epoch}")
         try:
             plaintext = schedule.open(nonce, blob[_HEADER_SIZE:], aad)
         except crypto.CryptoError as exc:
             self.stats.auth_failures += 1
             raise PSPError("PSP authentication failed") from exc
+        if ahead:
+            self._keys[epoch] = schedule
         self.stats.packets_opened += 1
         return plaintext
 
@@ -293,6 +295,9 @@ class PeerKeyStore:
     """
 
     contexts: dict[str, PSPContext] = field(default_factory=dict)
+    #: peer -> the epoch its last removed context sealed under, so a
+    #: re-association can start past it (:func:`associate`).
+    retired: dict[str, int] = field(default_factory=dict)
 
     def establish(
         self, peer: str, master_secret: bytes, local: Optional[str] = None
@@ -300,9 +305,9 @@ class PeerKeyStore:
         """Install the context for ``peer``.
 
         With ``local`` (this node's address) the context is bound, its
-        direction fixed from the ordered ``(local, peer)`` pair; every
-        association the federation makes goes through :func:`associate`,
-        which passes it. Without, it is unbound (a hand-built peer).
+        direction fixed from the ordered ``(local, peer)`` pair. Without,
+        it is unbound (a hand-built peer). Every association the
+        federation makes goes through :func:`associate` instead.
         """
         ctx = PSPContext(master_secret, endpoints=None if local is None else (local, peer))
         self.contexts[peer] = ctx
@@ -318,7 +323,14 @@ class PeerKeyStore:
         return peer in self.contexts
 
     def remove(self, peer: str) -> None:
-        self.contexts.pop(peer, None)
+        ctx = self.contexts.pop(peer, None)
+        if ctx is not None:
+            self.retired[peer] = ctx.epoch
+
+    def last_epoch(self, peer: str) -> Optional[int]:
+        """The newest epoch this node has sealed to ``peer`` under, if any."""
+        ctx = self.contexts.get(peer)
+        return ctx.epoch if ctx is not None else self.retired.get(peer)
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -346,7 +358,24 @@ class _Endpoint(Protocol):
 
 
 def associate(a: _Endpoint, b: _Endpoint) -> None:
-    """Create both ends of the ``a ↔ b`` PSP association, one SA per direction."""
+    """Create both ends of the ``a ↔ b`` PSP association, one SA per direction.
+
+    No nonce counter restarts under a key it has sealed with: a live pair
+    is kept as it is, and a pair that ever had an end starts both ends
+    on the epoch after the newest one either end sealed under.
+    """
+    if a.keystore.has(b.address) and b.keystore.has(a.address):
+        return
+    used = [
+        epoch
+        for epoch in (a.keystore.last_epoch(b.address), b.keystore.last_epoch(a.address))
+        if epoch is not None
+    ]
+    epoch = (max(used) + 1) & 0xFF if used else 0
     secret = pairwise_secret(a.address, b.address)
-    a.keystore.establish(b.address, secret, local=a.address)
-    b.keystore.establish(a.address, secret, local=b.address)
+    a.keystore.contexts[b.address] = PSPContext(
+        secret, epoch, endpoints=(a.address, b.address)
+    )
+    b.keystore.contexts[a.address] = PSPContext(
+        secret, epoch, endpoints=(b.address, a.address)
+    )

@@ -62,6 +62,10 @@ class FlowStats:
     bytes_delivered: int = 0
     packets_sent: int = 0
 
+    def sent(self, count: int = 1) -> None:
+        """Book ``count`` packets sent on this flow (the ratio's denominator)."""
+        self.packets_sent += count
+
     def add(self, sent_at: float, received_at: float, size: int = 0) -> None:
         self.samples.append(LatencySample(sent_at, received_at))
         self.bytes_delivered += size

@@ -85,9 +85,9 @@ def fail(check: str, detail: str) -> None:
 #: exit fields). The invariant is ``total == sum(exits) + live`` where
 #: ``live`` is passed by the call site (units the class itself does not
 #: book to an exit: packets still parked, or exits that live on another
-#: ledger). The static analyzer (LEDGER001) cross-checks every field
-#: named here against the class definition, so a renamed counter breaks
-#: the build instead of silently voiding the runtime check.
+#: ledger). ``tests/test_sanitize.py`` checks every field named here
+#: against the class definition, so a renamed counter breaks the build
+#: instead of silently voiding the runtime check.
 CONSERVATION_LEDGERS = {
     "MissQueueStats": (
         "offered",

@@ -1,11 +1,10 @@
 """Analysis-runtime budget: the whole-tree cold run must stay fast.
 
-CI runs the full analysis (all per-module rules plus the whole-program
-symbol-table pass) in the lint job on every push, uncached; if it creeps
-past a few seconds it will get skipped or resented. The budget is
-deliberately generous — an order of magnitude above the current cost —
-so it only trips on real regressions (accidentally quadratic
-resolution), not on CI jitter.
+CI runs the full analysis (one AST pass per module per rule) in the lint
+job on every push, uncached; if it creeps past a few seconds it will get
+skipped or resented. The budget is deliberately generous — an order of
+magnitude above the current cost — so it only trips on real regressions
+(an accidentally quadratic rule), not on CI jitter.
 """
 
 from __future__ import annotations
@@ -28,6 +27,6 @@ def test_cold_whole_tree_run_within_budget():
     elapsed = time.perf_counter() - start
     assert elapsed < COLD_RUN_BUDGET, (
         f"cold whole-tree analysis took {elapsed:.2f}s "
-        f"(budget {COLD_RUN_BUDGET}s); profile the symbol-table pass before "
-        "raising the budget"
+        f"(budget {COLD_RUN_BUDGET}s); profile the rules before raising "
+        "the budget"
     )

@@ -18,7 +18,7 @@ import pytest
 
 from repro.analysis import analyze_file, analyze_paths
 from repro.analysis.__main__ import main as analysis_main
-from repro.analysis.rules import rule_det001, rule_det002, rule_res001
+from repro.analysis.rules import rule_det001, rule_det002
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -491,79 +491,6 @@ class TestDET002:
         assert analyze_file(path, rules=[rule_det002]) == []
 
 
-class TestRES001:
-    def test_watch_without_unwatch_flagged(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            class Agent:
-                def __init__(self, store):
-                    self.token = store.watch("key", self.on_change)
-
-                def on_change(self, key, op, value):
-                    pass
-            """,
-        )
-        findings = analyze_file(path, rules=[rule_res001])
-        assert _codes(findings) == ["RES001"]
-        assert "unwatch" in findings[0].message
-
-    def test_watch_with_teardown_clean(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            class Agent:
-                def __init__(self, store):
-                    self.store = store
-                    self.token = store.watch("key", self.on_change)
-
-                def on_change(self, key, op, value):
-                    pass
-
-                def detach(self):
-                    self.store.unwatch("key", self.token)
-            """,
-        )
-        assert analyze_file(path, rules=[rule_res001]) == []
-
-    def test_watch_prefix_pairing(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            class PrefixAgent:
-                def __init__(self, store):
-                    self.store = store
-                    self.token = store.watch_prefix("resilience/", self.on_change)
-
-                def on_change(self, key, op, value):
-                    pass
-            """,
-        )
-        assert _codes(analyze_file(path, rules=[rule_res001])) == ["RES001"]
-
-    def test_provider_class_exempt(self, tmp_path):
-        path = _write(
-            tmp_path,
-            "mod.py",
-            """
-            class Store:
-                def __init__(self):
-                    self._watches = {}
-
-                def watch(self, key, callback):
-                    self._watches.setdefault(key, []).append(callback)
-
-                def rebuild(self, other):
-                    # Calls its *own* watch API while rebuilding.
-                    other.watch("k", print)
-            """,
-        )
-        assert analyze_file(path, rules=[rule_res001]) == []
-
-
 class TestEngineEdges:
     def test_syntax_error_reported_as_parse_finding(self, tmp_path):
         path = _write(tmp_path, "broken.py", "def oops(:\n")
@@ -603,13 +530,15 @@ class TestCLI:
             """,
         )
         # Filtering to an unrelated rule hides the DET001 finding.
-        assert analysis_main([str(tmp_path), "--rules", "RES001"]) == 0
+        assert analysis_main([str(tmp_path), "--rules", "DET002"]) == 0
         assert analysis_main([str(tmp_path), "--rules", "DET001"]) == 1
 
     def test_unknown_rule_is_usage_error(self, tmp_path):
         assert analysis_main([str(tmp_path), "--rules", "NOPE999"]) == 2
 
-    @pytest.mark.parametrize("code", ["EVT001", "WIRE001", "OBS001"])
+    @pytest.mark.parametrize(
+        "code", ["EVT001", "WIRE001", "OBS001", "DET003", "LEDGER001", "RES001"]
+    )
     def test_retired_rule_is_usage_error(self, tmp_path, capsys, code):
         assert analysis_main([str(tmp_path), "--rules", f"DET001,{code}"]) == 2
         assert code in capsys.readouterr().err
@@ -670,13 +599,7 @@ class TestCLI:
     def test_list_rules(self, capsys):
         assert analysis_main(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        assert [line.split()[0] for line in out.splitlines()] == [
-            "DET001",
-            "DET002",
-            "DET003",
-            "LEDGER001",
-            "RES001",
-        ]
+        assert [line.split()[0] for line in out.splitlines()] == ["DET001", "DET002"]
 
 
 class TestLiveTree:

@@ -14,6 +14,7 @@ from dataclasses import asdict
 
 import pytest
 
+from repro import sanitize
 from repro.core.decision_cache import (
     Action,
     CacheError,
@@ -641,6 +642,20 @@ class TestOneBillingRule:
         assert guard.stats.shed_groups == 2
         assert rig.terminus.stats.drops_shed == 2
 
+
+    def test_shed_followers_exit_through_the_miss_queue_ledger(self):
+        """A shed group's would-be followers are offered to the miss queue
+        and leave it through its ``shed`` exit, so its ledger balances."""
+        rig = _PuntRig()
+        rig.node.enable_admission_control(
+            AdmissionConfig(max_parked=64, punt_rate=1.0, punt_burst=1)
+        )
+        self._burst(rig, [1, 2, 2, 2])
+        queue = rig.terminus.miss_queue
+        assert rig.terminus.overload.stats.shed_groups == 1
+        assert rig.terminus.stats.drops_shed == 3
+        assert queue.stats.shed == 2
+        sanitize.check_ledger(queue.stats, "miss-queue-ledger", live=queue.live)
 
 # -- monitoring regression (mirrors TestSnapshotDropAccounting) ----------
 

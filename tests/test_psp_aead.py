@@ -126,6 +126,81 @@ class TestOneSAPerDirection:
         assert observer.open(b.seal(b"west-bound")) == b"west-bound"
 
 
+def _sealed_prefixes(ctx: PSPContext, count: int) -> list[bytes]:
+    """Seal ``count`` frames; return their wire ``epoch || nonce`` prefixes."""
+    return [ctx.seal(b"ilp header")[:9] for _ in range(count)]
+
+
+class TestReassociationNeverReusesANonce:
+    """Re-creating an association must not restart a nonce counter under a
+    key it already sealed with: under GCM a repeated (key, nonce) leaks
+    plaintext XORs and the authentication key."""
+
+    def test_establish_direct_over_a_peered_pair(self):
+        net = InterEdge(registry=standard_registry())
+        net.create_edomain("a")
+        net.create_edomain("b")
+        sn_a = net.add_sn("a", name="pop-a")
+        sn_b = net.add_sn("b", name="pop-b")
+        net.peer_all()
+        first = _sealed_prefixes(sn_a.keystore.get(sn_b.address), 3)
+        net.establish_direct(sn_a, sn_b)
+        ctx = sn_a.keystore.get(sn_b.address)
+        again = _sealed_prefixes(ctx, 3)
+        assert not set(first) & set(again)
+        frame = ctx.seal(b"still opens")
+        assert sn_b.keystore.get(sn_a.address).open(frame) == b"still opens"
+
+    def test_host_migrating_back_to_its_first_sn(self):
+        """The load balancer's migrate-back is ``associate_host`` again."""
+        sim = Simulator()
+        hot = ServiceNode(sim, "hot", "10.0.0.1")
+        cold = ServiceNode(sim, "cold", "10.0.0.2")
+        host = Host(sim, "h", "192.168.0.1")
+        for sn in (hot, cold):
+            Link(sim, host, sn)
+        hot.associate_host(host)
+        up = _sealed_prefixes(host.keystore.get(hot.address), 3)
+        down = _sealed_prefixes(hot.keystore.get(host.address), 3)
+        cold.associate_host(host)
+        hot.associate_host(host)
+        assert not set(up) & set(_sealed_prefixes(host.keystore.get(hot.address), 3))
+        assert not set(down) & set(_sealed_prefixes(hot.keystore.get(host.address), 3))
+
+    def test_pipe_rebuilt_after_teardown_moves_to_a_fresh_epoch(self):
+        sim = Simulator()
+        west = ServiceNode(sim, "west", "10.0.0.1")
+        east = ServiceNode(sim, "east", "10.0.0.2")
+        west.establish_pipe(east)
+        first = _sealed_prefixes(west.keystore.get(east.address), 3)
+        west.teardown_pipe(east.address)
+        east.teardown_pipe(west.address)
+        west.establish_pipe(east)
+        tx, rx = west.keystore.get(east.address), east.keystore.get(west.address)
+        assert tx.epoch == rx.epoch == 1
+        assert not set(first) & set(_sealed_prefixes(tx, 3))
+        assert rx.open(tx.seal(b"fresh epoch")) == b"fresh epoch"
+
+
+class TestForwardEpochNeedsAnAuthenticFrame:
+    def test_forged_next_epoch_frame_leaves_no_schedule(self):
+        """One forged frame with epoch byte 1 must not make a context
+        hold epoch 1's schedule: only an authentic frame may."""
+        _, rx = _pipe_pair()
+        forged = bytes([1]) + bytes(40)
+        with pytest.raises(PSPError):
+            rx.open(forged)
+        assert rx.open_batch([forged]) == [None]
+        assert rx.known_epochs() == (0,)
+        assert rx.stats.auth_failures == 2
+
+    def test_authentic_next_epoch_frame_is_kept(self):
+        tx, rx = _pipe_pair()
+        tx.rotate()
+        assert rx.open(tx.seal(b"ahead")) == b"ahead"
+        assert rx.known_epochs() == (0, 1)
+
+
 def _mutations(length: int):
     flips = st.tuples(st.just("flip"), st.integers(0, length * 8 - 1))
     cuts = st.tuples(st.just("truncate"), st.integers(0, length - 1))

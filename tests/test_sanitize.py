@@ -12,6 +12,8 @@ from repro.core.ilp import ILPHeader, TLV
 from repro.core.pipe_terminus import _san_check_header_wire
 from repro.core.psp import PSPContext
 
+from tests.conftest import counter_fields, stats_classes
+
 
 @pytest.fixture
 def armed():
@@ -216,6 +218,17 @@ class TestMissQueueLedger:
         node = self._node()
         node.terminus.miss_queue.park(("p", b"f"), ["stuck"])
         assert node.terminus.receive_batch([]) == 0
+
+
+def test_conservation_ledgers_name_real_counters():
+    """A renamed or misspelled counter must break the build, not silently
+    void the runtime ledger check that reads it with ``getattr``."""
+    classes = stats_classes()
+    for class_name, (total, exits) in sanitize.CONSERVATION_LEDGERS.items():
+        assert class_name in classes, f"no *Stats dataclass named {class_name}"
+        fields = counter_fields(classes[class_name])
+        for name in (total, *exits):
+            assert name in fields, f"{class_name} has no counter {name!r}"
 
 
 class TestPacketFateLedger:

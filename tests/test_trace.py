@@ -63,7 +63,7 @@ class TestFlowStats:
 
     def test_delivery_ratio(self):
         stats = FlowStats()
-        stats.packets_sent = 4
+        stats.sent(4)
         stats.add(0.0, 0.1)
         stats.add(0.0, 0.1)
         assert stats.delivery_ratio == 0.5
