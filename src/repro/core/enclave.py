@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import hashlib
 # _cross serializes to model the SEV page copy and only ever unpickles the
-# blob it just sealed itself (ROADMAP 4c owns replacing it).
+# blob it just sealed itself (ROADMAP item 6a owns replacing it).
 # repro: allow(DET001)
 import pickle
 from dataclasses import dataclass
@@ -88,8 +88,8 @@ class Enclave:
             self.recorder.event(
                 "enclave.cross", module=self.module_name, nbytes=len(blob)
             )
-        # Unseal (the inverse XOR+verify) is symmetric work; reuse seal's
-        # output length by stripping the tag and re-deriving the plaintext.
+        # Unseal: the AES-GCM open (tag check, then decrypt) the far side
+        # of the page copy makes, symmetric to the seal above.
         from .crypto import open_sealed
 
         return pickle.loads(open_sealed(self._memory_key, nonce, sealed))

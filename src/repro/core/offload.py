@@ -14,8 +14,10 @@ mechanism (e.g., using Menshen) is used." This module models that:
   on (or affect) other services' traffic.
 
 The terminus consults offload programs *between* the decision cache and
-the slow-path punt: a cache hit is still the fastest path; an offload
-match avoids the slow path without the generality of software.
+the slow-path punt, as a second match-action table: a cache hit is still
+the fastest path; a rule that resolves a packet answers with an ordinary
+:class:`~repro.core.decision_cache.Decision` (forward or drop), avoiding
+the slow path without the generality of software.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
+from .decision_cache import Decision
 from .ilp import ILPHeader
 from ..sched.token_bucket import TokenBucket
 
@@ -108,18 +111,8 @@ class OffloadQuota:
     max_meters: int = 4
 
 
-@dataclass(frozen=True, slots=True)
-class OffloadResult:
-    """What the engine decided for a packet (None kind = no match)."""
-
-    kind: Optional[ActionKind]
-    peer: Optional[str] = None
-
-
-#: Shared no-match result: ``process`` returns this for every packet that no
-#: rule claims, so the (very common) fall-through allocates nothing.
-_NO_MATCH = OffloadResult(kind=None)
-_DROP = OffloadResult(kind=ActionKind.DROP)
+#: The one drop decision every DROP rule and over-rate meter answers with.
+_DROP = Decision.drop()
 
 
 class TerminusOffloadEngine:
@@ -128,8 +121,6 @@ class TerminusOffloadEngine:
     def __init__(self, quota: OffloadQuota = OffloadQuota()) -> None:
         self.quota = quota
         self._programs: dict[int, OffloadProgram] = {}
-        self.offload_hits = 0
-        self.offload_drops = 0
 
     # -- programming (service-facing API) ----------------------------------
     def program_for(self, service_id: int) -> OffloadProgram:
@@ -138,7 +129,9 @@ class TerminusOffloadEngine:
     def install_rule(
         self, service_id: int, matches: tuple[Match, ...], action: OffloadAction
     ) -> OffloadRule:
-        program = self.program_for(service_id)
+        """Append a rule to the service's program; a rejected call changes
+        nothing (no program is created for it)."""
+        program = self._programs.get(service_id) or OffloadProgram(service_id)
         if len(program.rules) >= self.quota.max_rules:
             raise OffloadError(
                 f"service {service_id} exceeded its rule quota "
@@ -148,25 +141,24 @@ class TerminusOffloadEngine:
             raise OffloadError(f"meter {action.operand!r} not provisioned")
         rule = OffloadRule(matches=matches, action=action)
         program.rules.append(rule)
+        self._programs[service_id] = program
         return rule
 
     def provision_meter(
         self, service_id: int, name: str, rate_bps: float, burst_bytes: int
     ) -> None:
-        program = self.program_for(service_id)
-        if len(program.meters) >= self.quota.max_meters:
+        """Provision (or re-provision, refilled) a named meter; a rejected
+        call changes nothing. Re-provisioning does not count against the
+        quota: the service still holds the same number of meters."""
+        program = self._programs.get(service_id) or OffloadProgram(service_id)
+        meters = program.meters
+        if name not in meters and len(meters) >= self.quota.max_meters:
             raise OffloadError(
                 f"service {service_id} exceeded its meter quota "
                 f"({self.quota.max_meters})"
             )
-        program.meters[name] = TokenBucket(rate_bps, burst_bytes)
-
-    def remove_program(self, service_id: int) -> None:
-        self._programs.pop(service_id, None)
-
-    def program_ids(self) -> tuple[int, ...]:
-        """Service IDs with an installed program (inspection/tests)."""
-        return tuple(self._programs)
+        meters[name] = TokenBucket(rate_bps, burst_bytes)
+        self._programs[service_id] = program
 
     def programs(self) -> tuple[OffloadProgram, ...]:
         """All installed programs (inspection/tests)."""
@@ -188,15 +180,20 @@ class TerminusOffloadEngine:
         header: ILPHeader,
         payload_len: int,
         now: float,
-    ) -> OffloadResult:
+    ) -> Optional[Decision]:
         """Run the owning service's program over a packet.
+
+        Rules apply in order: COUNT and an in-rate METER fall through; the
+        first FORWARD answers ``Decision.forward(peer)``, and a DROP or an
+        over-rate METER the shared ``Decision.drop()``. ``None`` means no
+        rule resolved the packet, which goes on to the slow path.
 
         Isolation is structural: only the program registered under the
         packet's own service ID ever sees it.
         """
         program = self._programs.get(header.service_id)
         if program is None:
-            return _NO_MATCH
+            return None
         for rule in program.rules:
             if not rule.matches_packet(src, header, payload_len):
                 continue
@@ -211,15 +208,12 @@ class TerminusOffloadEngine:
                 meter = program.meters[action.operand]
                 if meter.try_consume(payload_len, now):
                     continue  # within rate: fall through
-                self.offload_drops += 1
                 return _DROP
             if action.kind is ActionKind.DROP:
-                self.offload_drops += 1
                 return _DROP
             if action.kind is ActionKind.FORWARD:
-                self.offload_hits += 1
-                return OffloadResult(kind=ActionKind.FORWARD, peer=action.operand)
-        return _NO_MATCH
+                return Decision.forward(action.operand)
+        return None
 
     def stats(self) -> dict[int, dict[str, Any]]:
         return {

@@ -21,24 +21,29 @@ burst of one. Stage by stage:
    :meth:`~repro.core.decision_cache.DecisionCache.lookup_many` pass over
    a barrier-delimited segment's groups. A hit goes to egress; consecutive
    misses form a **cold span**.
-4. **Cold span.** Per missed group, in Figure-2 order: the lead packet is
-   charged the cache miss, the service's offload program (if any) may
-   drop or forward it, admission control may shed the group, and
-   otherwise the **lead** punts while its followers park in the bounded
-   per-flow :class:`MissQueue`. All leads of a span cross the service
-   boundary in one :meth:`_punt_batch` →
+4. **Cold span.** Per missed group, in Figure-2 order: if the service
+   has an offload program (App. B.1's second match-action table), it
+   meets the group's packets in arrival order, each charged its own cache
+   miss; every packet it resolves is an ordinary forward or drop
+   :class:`~repro.core.decision_cache.Decision`, and the first one it
+   passes on becomes the group's **lead**. Without a program the first
+   packet leads, charged the miss. Admission control may shed the lead
+   with its followers; otherwise the lead punts while its followers park
+   in the per-flow :class:`MissQueue`. All leads of a span cross the
+   service boundary in one :meth:`_punt_batch` →
    :meth:`~repro.core.ipc.InvocationChannel.invoke_batch` round trip
    (OVS-style upcall batching: a cold-flow storm costs one crossing per
-   span plus one punt per flow). Verdicts are applied in span order; a
-   lead's parked followers then take one probe — a hit drains them
-   through the freshly installed decision, a miss (the verdict installed
-   nothing, errored, or the service is missing) **replays** them.
-5. **Punt.** Every punt — a span's leads, a lone lead, a barrier —
-   crosses through :meth:`_punt_batch`, the only place that consults a
-   circuit breaker, enforces the slow-path deadline, bills invocation
-   latency and dispatches to a degradation mode. Barriers punt strictly
-   one at a time, each with a fresh header (services may retain or mutate
-   what they are handed), its verdict applied before the next packet is
+   span plus one punt per flow). Then, in span order, a group's offload
+   forwards egress and its lead's verdict is applied; its parked
+   followers take one probe — a hit drains them through the freshly
+   installed decision, a miss (the verdict installed nothing, errored, or
+   the service is missing) **replays** them.
+5. **Punt.** Every punt — a span's leads, a barrier — crosses through
+   :meth:`_punt_batch`, the only place that consults a circuit breaker,
+   enforces the slow-path deadline, bills invocation latency and
+   dispatches to a degradation mode. Barriers punt strictly one at a
+   time, each with a fresh header (services may retain or mutate what
+   they are handed), its verdict applied before the next packet is
    looked at.
 6. **Egress.** Every outgoing packet — decision targets, verdict emits,
    offload forwards, degraded forwards — leaves through
@@ -52,10 +57,8 @@ burst of one. Stage by stage:
    accumulated when it was decided; multi-target fan-out flushes the
    gather and transmits packet-major at once, as bursts of one would.
 
-A **replay** — an offload-programmed group (rules and meters are
-consulted per packet by contract), followers whose lead installed
-nothing, miss-queue overflow — is not a second path: each packet
-re-enters stage 3 as a group of one.
+A **replay** — followers whose lead installed nothing — is not a second
+path: each packet re-enters stage 3 as a group of one.
 
 Equivalence contract
 --------------------
@@ -73,7 +76,11 @@ inter-packet state), so cross-flow delivery order within one burst is not
 part of wire semantics — the liberty a multi-queue NIC takes when RSS
 steers flows to different queues. Cross-flow *punt* order within a burst
 follows span order rather than arrival order, while each flow's punts
-always reach its service in arrival order.
+always reach its service in arrival order. Likewise, a meter that an
+offload program shares across flows is charged in plan order — each
+group up to its lead, then replayed followers after the punt — rather
+than in arrival order across those flows; each flow's own packets meet
+it in arrival order.
 
 Like the ASIC pipeline it models, a burst assumes that a slow-path verdict
 does not retire the PSP association of packets already in flight, and that
@@ -86,14 +93,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .. import sanitize as _san
 from ..obs.recorder import NULL_RECORDER
 from .decision_cache import Action, CacheKey, Decision, DecisionCache
 from .ilp import FLAGS_WIRE_OFFSET, Flags, ILPError, ILPHeader, TLV
 from .ipc import CostModel, InvocationChannel, InvocationMode
-from .offload import ActionKind, TerminusOffloadEngine
+from .offload import TerminusOffloadEngine
 from .overload import DegradeMode, OverloadGuard, ServicePolicy
 from .packet import ILPPacket, L3Header, Payload
 from .psp import PeerKeyStore
@@ -109,11 +116,13 @@ _Row = tuple[str, bytes, ILPHeader, list[ILPPacket], CacheKey]
 #: One egress gather entry: (header wire form, qos_src, payloads in order).
 _GatherItem = tuple[bytes, Optional[str], list[Payload]]
 
+#: (decision, payload) of each packet a cold group's offload program forwarded.
+_Forwards = Sequence[tuple[Decision, Payload]]
+
 #: Cold-span plan modes (see :meth:`PipeTerminus._process_cold_span`).
-_COLD_REPLAY = 0  # offload-programmed service: per-packet replay
-_COLD_DRAIN = 1  # dup/revived cache key: drain off the span's installs
-_COLD_LEAD = 2  # true cold flow: lead punts, followers park
-_COLD_SHED = 3  # admission control refused the group: whole run dropped
+_COLD_DRAIN = 0  # dup/revived cache key: drain off the span's installs
+_COLD_LEAD = 1  # true cold flow: lead punts, followers park
+_COLD_SETTLED = 2  # no lead left: resolved by the offload program, or shed
 
 
 @functools.lru_cache(maxsize=4096)
@@ -170,36 +179,33 @@ class MissQueueStats:
     """Miss-queue ledger.
 
     ``offered`` counts every packet the miss path was asked to absorb —
-    parked followers, spill overflow, and packets shed by admission
-    control before parking. Each leaves through exactly one exit:
-    ``drained_fast`` (verdict installed, drained through the fast path),
-    ``replayed`` (no install, replayed per-packet through the slow path),
-    ``spilled`` (per-flow bound hit: went straight to per-packet replay),
-    ``shed`` (refused by the overload detector), or ``dropped`` (queue
-    discarded on node crash) — so
-    ``offered == drained_fast + replayed + spilled + shed + dropped +
-    live`` at all times (the armed conservation ledger). ``parked``
-    keeps its physical meaning: packets that actually entered the queue,
-    so ``parked == drained_fast + replayed + dropped + live`` holds too.
+    parked followers and packets shed by admission control before
+    parking. Each leaves through exactly one exit: ``drained_fast``
+    (verdict installed, drained through the fast path), ``replayed`` (no
+    install, replayed per-packet through the slow path), ``shed`` (refused
+    by the overload detector), or ``dropped`` (queue discarded on node
+    crash) — so ``offered == drained_fast + replayed + shed + dropped +
+    live`` at all times (the armed conservation ledger). ``parked`` keeps
+    its physical meaning: packets that actually entered the queue, so
+    ``parked == drained_fast + replayed + dropped + live`` holds too.
     """
 
     offered: int = 0
     parked: int = 0
     drained_fast: int = 0
     replayed: int = 0
-    spilled: int = 0
     shed: int = 0
     dropped: int = 0
 
 
 class MissQueue:
-    """Bounded per-flow parking for a cold group's follower packets.
+    """Per-flow parking for a cold group's follower packets.
 
     While a flow's lead packet is punted, its followers wait here instead
-    of punting too (miss coalescing). Each flow may park at most ``limit``
-    packets; overflow **spills** — the excess is returned to the caller
-    for ordinary per-packet processing, never silently dropped, so the
-    bound degrades throughput rather than correctness. ``SLOW_PATH``
+    of punting too (miss coalescing). Parking never outlives the cold span
+    that parks — every parked packet is drained or replayed before the
+    burst ends (the armed ``miss-queue-leak`` check) — so the queue holds
+    at most one burst and needs no bound of its own. ``SLOW_PATH``
     barriers never park (they punt individually by contract). On node
     crash the queue is discarded wholesale and every live packet is
     accounted as ``dropped`` — parked packets are in-flight datapath
@@ -207,10 +213,9 @@ class MissQueue:
     NIC ring at power loss.
     """
 
-    __slots__ = ("limit", "_flows", "_live", "stats")
+    __slots__ = ("_flows", "_live", "stats")
 
-    def __init__(self, limit: int = 512) -> None:
-        self.limit = limit
+    def __init__(self) -> None:
         self._flows: dict[tuple[str, bytes], list[ILPPacket]] = {}
         self._live = 0
         self.stats = MissQueueStats()
@@ -220,32 +225,24 @@ class MissQueue:
         """Packets currently parked across all flows."""
         return self._live
 
-    def park(
-        self, flow: tuple[str, bytes], packets: list[ILPPacket]
-    ) -> list[ILPPacket]:
-        """Park up to the per-flow bound; return the spill (may be empty).
+    def park(self, flow: tuple[str, bytes], packets: list[ILPPacket]) -> None:
+        """Park ``packets`` behind the flow's lead, in arrival order.
 
         A flow gets an entry only once a packet actually parks: a lead
         without followers (``packets`` empty) has nothing for ``drain`` to
         pop later, so it must leave nothing behind.
         """
         if not packets:
-            return packets
-        self.stats.offered += len(packets)
+            return
+        n = len(packets)
+        self.stats.offered += n
+        self.stats.parked += n
+        self._live += n
         queue = self._flows.get(flow)
-        room = self.limit - (len(queue) if queue is not None else 0)
-        if room <= 0:
-            self.stats.spilled += len(packets)
-            return packets
-        take, spill = packets[:room], packets[room:]
         if queue is None:
-            self._flows[flow] = take
+            self._flows[flow] = packets
         else:
-            queue.extend(take)
-        self._live += len(take)
-        self.stats.parked += len(take)
-        self.stats.spilled += len(spill)
-        return spill
+            queue.extend(packets)
 
     def shed(self, count: int) -> None:
         """Account ``count`` would-be followers refused by admission control.
@@ -356,7 +353,6 @@ class PipeTerminus:
         invocation_mode: InvocationMode = InvocationMode.IPC,
         clock: Optional[Callable[[], float]] = None,
         cost_model: Optional[CostModel] = None,
-        miss_queue_limit: int = 512,
     ) -> None:
         self.node_address = node_address
         self.keystore = keystore
@@ -373,7 +369,7 @@ class PipeTerminus:
         self.shard_stats = ShardStats()
         #: Parks a cold group's followers while its lead packet punts
         #: (miss coalescing — see module docstring).
-        self.miss_queue = MissQueue(miss_queue_limit)
+        self.miss_queue = MissQueue()
         #: Overload-resilience state: per-service policies + circuit
         #: breakers and the admission detector. Inert until configured.
         self.overload = OverloadGuard()
@@ -577,28 +573,30 @@ class PipeTerminus:
         Three phases, each preserving per-flow order and the charges
         bursts of one would make:
 
-        1. **Plan.** Each group gets a mode. A group whose service has an
-           offload program replays (rules and meters are consulted per
-           packet) — unless it *is* one lone packet, the unit the program
-           speaks of, which is resolved in place. A group whose cache key
-           already appeared in this span (the key is not injective over
-           flows: same connection, different TLVs) or is already back in
-           the cache (revived by an earlier span's install in this
-           segment) *drains* in phase 3 — its packets hit whatever the
-           span installs, crucially without a second punt. Everything else
-           is a true cold flow, taken in Figure-2 order: its **lead** is
-           charged the miss (one scalar lookup), the offload program may
-           resolve it, admission control may shed the group, and otherwise
-           the lead is queued for the batch punt while its followers park
-           in the miss queue (overflow spills to replay).
+        1. **Plan.** Each group gets one of three modes. A group whose
+           cache key already appeared in this span (the key is not
+           injective over flows: same connection, different TLVs) or is
+           already back in the cache (revived by an earlier span's install
+           in this segment) *drains* in phase 3 — its packets hit whatever
+           the span installs, crucially without a second punt. Every other
+           group is a true cold flow, taken in Figure-2 order. If its
+           service has an offload program, the program walks the packets
+           in arrival order, each charged its own miss, and books each one
+           it resolves, up to the first it passes on; otherwise only the
+           first packet is charged the miss. That packet is the group's
+           **lead**, the rest its followers: admission control may shed
+           them all, and otherwise the lead is queued for the batch punt
+           while its followers park in the miss queue. A group left with
+           no lead — resolved by its program, or shed — is *settled*.
         2. **Punt.** All lead packets cross the service boundary in one
            :meth:`_punt_batch`.
-        3. **Apply + drain.** In span order: a lead's verdict is applied
-           (installs + emits), then its parked followers take one probe —
-           a hit drains them through the installed decision; a miss (the
-           verdict installed nothing, or errored) replays them, which
-           re-punts each. Drain groups and spills do the same minus the
-           lead punt.
+        3. **Apply + drain.** In span order: a group's offload forwards
+           egress, its lead's verdict is applied (installs + emits), then
+           its parked followers take one probe — a hit drains them
+           through the installed decision; a miss (the verdict installed
+           nothing, or errored) replays them, each a group of one that
+           meets the cache, the program and the punt again. Drain groups
+           do the same minus the lead punt.
         """
         shard = self.shard_stats
         shard.cold_spans += 1
@@ -611,53 +609,55 @@ class PipeTerminus:
         rec = recorder.recording
         guard = self.overload
         admission = guard.admission
-        lone = len(rows) == 1 and len(rows[0][3]) == 1
 
-        # Phase 1 — plan.
-        modes: list[int] = []
+        # Phase 1 — plan: per row, a mode and the program's forwards.
+        plan: list[tuple[int, _Forwards]] = []
         leads: list[tuple[ILPHeader, ILPPacket]] = []
         punt_spans: list["Span"] = []
-        spills: dict[tuple[str, bytes], list[ILPPacket]] = {}
         seen_keys: set[CacheKey] = set()
         for peer, plain, header, run, key in rows:
-            programmed = offload.has_program(header.service_id)
-            if programmed and not lone:
-                modes.append(_COLD_REPLAY)
-                continue
             if key in seen_keys or key in cache:
                 # Membership only: no charge, no LRU touch — phase 3 makes
                 # the (position-correct) charged probe.
-                modes.append(_COLD_DRAIN)
+                plan.append((_COLD_DRAIN, ()))
                 continue
-            # Charge the lead's miss (lookup_many charged nothing); misses
-            # touch no LRU state, so the early charge is invisible.
-            cache.lookup(key, now=now)
-            if programmed:
-                offloaded = offload.process(
-                    peer, header, run[0].payload.wire_size, now
-                )
-                # ``lone``: this row is the whole span, so resolving it
-                # here ends the span.
-                if offloaded.kind is ActionKind.DROP:
-                    stats.drops_by_offload += 1
-                    return
-                if offloaded.kind is ActionKind.FORWARD:
-                    stats.offload_path += 1
-                    self._gather_add(
-                        offloaded.peer,
-                        header.encode(),
-                        header.get_str(TLV.SRC_HOST),
-                        [run[0].payload],
+            offloaded: _Forwards = ()
+            if offload.has_program(header.service_id):
+                # App. B.1's second table: each packet misses the cache
+                # and meets the program, until the first one it passes on.
+                forwarded: list[tuple[Decision, Payload]] = []
+                resolved = 0
+                for packet in run:
+                    cache.lookup(key, now=now)
+                    decision = offload.process(
+                        peer, header, packet.payload.wire_size, now
                     )
-                    return
+                    if decision is None:
+                        break
+                    resolved += 1
+                    if decision.action is Action.DROP:
+                        stats.drops_by_offload += 1
+                    else:
+                        stats.offload_path += 1
+                        forwarded.append((decision, packet.payload))
+                offloaded = forwarded
+                if resolved == len(run):
+                    plan.append((_COLD_SETTLED, offloaded))
+                    continue
+                run = run[resolved:]
+            else:
+                # Charge the lead's miss (lookup_many charged nothing);
+                # misses touch no LRU state, so the early charge is
+                # invisible.
+                cache.lookup(key, now=now)
             if admission is not None and not guard.admit(now, queue.live):
                 # Priority-aware shedding: only true-cold groups reach this
                 # check — barriers punt directly, warm flows hit the cache,
                 # dup/revived keys drain — so CONTROL/LAST and established
-                # flows are never shed. One token covers the whole group;
-                # the would-be followers join the miss-queue ledger through
-                # its ``shed`` exit.
-                modes.append(_COLD_SHED)
+                # flows are never shed. One token covers the lead and its
+                # followers; the would-be followers join the miss-queue
+                # ledger through its ``shed`` exit.
+                plan.append((_COLD_SETTLED, offloaded))
                 n = len(run)
                 stats.drops_shed += n
                 guard.stats.shed_packets += n
@@ -668,7 +668,7 @@ class PipeTerminus:
                     recorder.event("overload.shed", peer=peer, n=n)
                 continue
             seen_keys.add(key)
-            modes.append(_COLD_LEAD)
+            plan.append((_COLD_LEAD, offloaded))
             # Fresh header for the punt: services may retain or mutate
             # what they are handed; the row header must stay pristine for
             # the drain egress.
@@ -681,28 +681,22 @@ class PipeTerminus:
                         connection=header.connection_id,
                     )
                 )
-            flow = (peer, plain)
-            spill = queue.park(flow, run[1:])
-            if spill:
-                spills[flow] = spill
-            if rec and len(run) > 1 + len(spill):
-                recorder.event(
-                    "miss.park", peer=peer, n=len(run) - 1 - len(spill)
-                )
+            queue.park((peer, plain), run[1:])
+            if rec and len(run) > 1:
+                recorder.event("miss.park", peer=peer, n=len(run) - 1)
 
         # Phase 2 — one batched boundary crossing for every lead.
         verdicts = self._punt_batch(leads) if leads else []
         for punt_span in punt_spans:
             recorder.end_span(punt_span)
 
-        # Phase 3 — apply verdicts and drain, in span order.
+        # Phase 3 — egress forwards, apply verdicts and drain, in span order.
         lead_i = 0
-        for row, mode in zip(rows, modes):
-            peer, plain, _header, run, key = row
-            if mode == _COLD_SHED:
-                continue
-            if mode == _COLD_REPLAY:
-                self._replay(row, run, now)
+        for row, (mode, offloaded) in zip(rows, plan):
+            peer, plain, header, run, key = row
+            for decision, payload in offloaded:
+                self._egress(decision, header, [payload])
+            if mode == _COLD_SETTLED:
                 continue
             if mode == _COLD_DRAIN:
                 decision = cache.lookup_many([key], [len(run)], now=now)[0]
@@ -724,9 +718,6 @@ class PipeTerminus:
                         "miss.drain" if hit else "miss.replay", peer=peer, n=count
                     )
                 self._drain(decision, row, queue.drain(flow, fast=hit), now)
-            spill = spills.get(flow)
-            if spill:
-                self._replay(row, spill, now)
 
     def _drain(
         self,
@@ -866,8 +857,8 @@ class PipeTerminus:
     ) -> list[Optional[Verdict]]:
         """Punt packets across the service boundary in one round trip.
 
-        The only crossing: a cold span's leads, a lone lead and a barrier
-        all come through here. Per punt: an open breaker short-circuits a
+        The only crossing: a cold span's leads and a barrier all come
+        through here. Per punt: an open breaker short-circuits a
         data packet to its degradation mode without crossing — the
         struggling service never sees it and no invocation latency is
         billed, so healthy services on this SN keep their goodput;

@@ -316,21 +316,22 @@ class ServiceNode(NetNode):
         host) is watched; pipes established later are watched as they are
         created. Data traffic counts as liveness via the terminus
         ``peer_activity`` hook, so keepalives only flow over idle pipes.
+        A call replaces (and stops) any earlier monitor, so its arguments
+        always apply and every pipe starts a fresh grace period.
         """
-        if self.health is None:
-            self.health = PipeHealthMonitor(
-                self,
-                interval=interval,
-                suspect_multiple=suspect_multiple,
-                dead_multiple=dead_multiple,
-            )
-            self.terminus.peer_activity = self.health.heard
-            for peer in self.keystore.contexts:
-                node = self._addr_to_node.get(peer)
-                if peer not in self._associated_hosts and isinstance(
-                    node, ServiceNode
-                ):
-                    self.health.watch_peer(peer)
+        if self.health is not None:
+            self.health.stop()
+        self.health = PipeHealthMonitor(
+            self,
+            interval=interval,
+            suspect_multiple=suspect_multiple,
+            dead_multiple=dead_multiple,
+        )
+        self.terminus.peer_activity = self.health.heard
+        for peer in self.keystore.contexts:
+            node = self._addr_to_node.get(peer)
+            if peer not in self._associated_hosts and isinstance(node, ServiceNode):
+                self.health.watch_peer(peer)
         self.health.start(initial_delay=initial_delay)
         return self.health
 

@@ -91,7 +91,7 @@ def fail(check: str, detail: str) -> None:
 CONSERVATION_LEDGERS = {
     "MissQueueStats": (
         "offered",
-        ("drained_fast", "replayed", "spilled", "shed", "dropped"),
+        ("drained_fast", "replayed", "shed", "dropped"),
     ),
     # The packet-fate law: every arrival's *first* disposition, exactly
     # once. ``live`` carries ``OverloadStats.short_circuits`` — a punt an

@@ -299,7 +299,6 @@ class TestOverloadSoak:
             assert mq.offered == (
                 mq.drained_fast
                 + mq.replayed
-                + mq.spilled
                 + mq.shed
                 + mq.dropped
                 + queue.live

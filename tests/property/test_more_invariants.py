@@ -52,7 +52,7 @@ class TestOffloadProperties:
             own, (Match(MatchField.PAYLOAD_LEN_GT, -1),), OffloadAction(ActionKind.DROP)
         )
         header = ILPHeader(service_id=other, connection_id=1)
-        assert engine.process("s", header, 100, 0.0).kind is None
+        assert engine.process("s", header, 100, 0.0) is None
 
 
 class TestQoSSpecProperties:

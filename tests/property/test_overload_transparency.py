@@ -202,7 +202,6 @@ def _assert_invisible(attack, clean, allow_degrade_peer: bool) -> None:
     assert mq.offered == (
         mq.drained_fast
         + mq.replayed
-        + mq.spilled
         + mq.shed
         + mq.dropped
         + queue.live

@@ -9,8 +9,9 @@ It is the *oracle* the production terminus is checked against
 code with :mod:`repro.core.pipe_terminus` and none of its machinery: no
 bursts, no sharding, no miss queue, no gather, no batched boundary
 crossing, no sealing. It keeps its own match-action table and its own
-counters, and records what it would transmit as plaintext projections
-``(next hop, header plaintext, payload bytes, qos_src)``.
+counters, its own offload-rule interpreter and meters, and records what
+it would transmit as plaintext projections ``(next hop, header plaintext,
+payload bytes, qos_src)``.
 
 Out of scope, as in the paper's figure: overload policies, admission
 control, cache eviction (the table is unbounded) and simulated latency.
@@ -23,7 +24,6 @@ from typing import Any, Optional
 
 from repro.core.decision_cache import Action, Decision
 from repro.core.ilp import Flags, ILPError, ILPHeader, TLV
-from repro.core.offload import ActionKind, TerminusOffloadEngine
 from repro.core.packet import ILPPacket, Payload
 from repro.core.psp import PSPContext, PSPError
 from repro.core.service_module import ServiceError, ServiceModule
@@ -31,6 +31,48 @@ from repro.core.service_module import ServiceError, ServiceModule
 #: One transmitted packet, as the next hop would see it after opening it.
 Projection = tuple[str, bytes, bytes, Optional[str]]
 CacheKey = tuple[str, int, int]
+#: One offload rule in the model's own terms: ``(matches, action)``; every
+#: match ``(field, operand)`` must hold, then ``action = (kind, operand)``
+#: applies. Field and kind names are App. B.1's ASIC-parser fields and
+#: actions, spelled as the production ``MatchField`` / ``ActionKind`` values.
+Rule = tuple[tuple[tuple[str, Any], ...], tuple[str, Any]]
+
+
+class Meter:
+    """A token bucket ``burst`` bytes deep, refilled at ``rate_bps / 8`` B/s
+    from time 0."""
+
+    def __init__(self, rate_bps: float, burst: int) -> None:
+        self.rate = rate_bps / 8.0
+        self.burst = float(burst)
+        self.tokens = float(burst)
+        self.at = 0.0
+
+    def admit(self, size: int, now: float) -> bool:
+        if now > self.at:
+            self.tokens = min(self.burst, self.tokens + (now - self.at) * self.rate)
+            self.at = now
+        if self.tokens < size:
+            return False
+        self.tokens -= size
+        return True
+
+
+def _holds(match: tuple[str, Any], src: str, header: ILPHeader, size: int) -> bool:
+    field, operand = match
+    if field == "connection_id":
+        return header.connection_id == operand
+    if field == "flags":
+        return bool(header.flags & operand)
+    if field == "tlv_present":
+        return operand in header.tlvs
+    if field == "tlv_equals":
+        return header.tlvs.get(operand[0]) == operand[1]
+    if field == "payload_len_gt":
+        return size > operand
+    if field == "src_addr":
+        return src == operand
+    raise ValueError(f"unknown match field {field!r}")
 
 
 class ReferenceTerminus:
@@ -42,12 +84,17 @@ class ReferenceTerminus:
         self,
         peers: dict[str, bytes],
         services: dict[int, ServiceModule],
-        offload: Optional[TerminusOffloadEngine] = None,
+        programs: Optional[dict[int, list[Rule]]] = None,
+        meters: Optional[dict[tuple[int, str], Meter]] = None,
     ) -> None:
         #: One PSP association per ILP peer (§4): opens what the peer sealed.
         self.contexts = {peer: PSPContext(secret) for peer, secret in peers.items()}
         self.services = services
-        self.offload = offload or TerminusOffloadEngine()
+        #: App. B.1: per-service offload rules, in order, and named meters.
+        self.programs = programs or {}
+        self.meters = meters or {}
+        #: COUNT-action counters: (service, counter name) -> packets.
+        self.counters: Counter[tuple[int, str]] = Counter()
         #: The match-action table: (L3 src, service, connection) -> decision.
         self.table: dict[CacheKey, Decision] = {}
         self.stats: Counter[str] = Counter()
@@ -98,20 +145,36 @@ class ReferenceTerminus:
             self._apply(decision, header, packet.payload)
             return
         # App. B.1: an offload program sits between the cache and the punt.
-        if self.offload.has_program(header.service_id):
-            result = self.offload.process(
-                src, header, packet.payload.wire_size, now
-            )
-            if result.kind is ActionKind.DROP:
+        decision = self._offload(src, header, packet.payload.wire_size, now)
+        if decision is not None:
+            if decision.action is Action.DROP:
                 stats["drops_by_offload"] += 1
                 return
-            if result.kind is ActionKind.FORWARD:
-                stats["offload_path"] += 1
-                assert result.peer is not None
-                self._transmit(result.peer, header, packet.payload)
-                return
+            stats["offload_path"] += 1
+            self._apply(decision, header, packet.payload)
+            return
         # 4. Miss: punt the decrypted header + packet to the service module.
         self._punt(header, packet)
+
+    def _offload(
+        self, src: str, header: ILPHeader, size: int, now: float
+    ) -> Optional[Decision]:
+        """The first rule that resolves the packet, in program order: COUNT
+        and an in-rate METER fall through; FORWARD forwards; DROP and an
+        over-rate METER drop. None: the program passes the packet on."""
+        sid = header.service_id
+        for matches, (kind, operand) in self.programs.get(sid, ()):
+            if not all(_holds(m, src, header, size) for m in matches):
+                continue
+            if kind == "count":
+                self.counters[sid, operand] += 1
+            elif kind == "forward":
+                return Decision.forward(operand)
+            elif kind == "drop":
+                return Decision.drop()
+            elif not self.meters[sid, operand].admit(size, now):  # "meter"
+                return Decision.drop()
+        return None
 
     def _punt(self, header: ILPHeader, packet: ILPPacket) -> None:
         stats = self.stats

@@ -438,7 +438,7 @@ class TestSnapshotDropAccounting:
             payload=make_payload(b"x"),
         )
         flow = ("10.0.0.2", ILPHeader(service_id=1, connection_id=1).encode())
-        assert queue.park(flow, [pkt, pkt, pkt]) == []
+        queue.park(flow, [pkt, pkt, pkt])
         assert queue.discard_all() == 3
         snap = snapshot_sn(node)
         assert snap.miss_parked == 3

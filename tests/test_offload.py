@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.decision_cache import CacheKey, Decision
 from repro.core.ilp import Flags, ILPHeader, TLV
 from repro.core.offload import (
     ActionKind,
@@ -12,6 +13,14 @@ from repro.core.offload import (
     OffloadQuota,
     TerminusOffloadEngine,
 )
+from repro.core.packet import ILPPacket, L3Header, make_payload
+from repro.core.psp import PSPContext, pairwise_secret
+from repro.core.service_module import ServiceModule, Verdict
+from repro.core.service_node import ServiceNode
+from repro.netsim import Simulator
+
+
+DROP = Decision.drop()
 
 
 def header(service_id=5, conn=1, flags=0, tlvs=None) -> ILPHeader:
@@ -29,8 +38,8 @@ class TestMatching:
             (Match(MatchField.CONNECTION_ID, 42),),
             OffloadAction(ActionKind.DROP),
         )
-        assert engine.process("10.0.0.2", header(conn=42), 100, 0.0).kind is ActionKind.DROP
-        assert engine.process("10.0.0.2", header(conn=43), 100, 0.0).kind is None
+        assert engine.process("10.0.0.2", header(conn=42), 100, 0.0) == DROP
+        assert engine.process("10.0.0.2", header(conn=43), 100, 0.0) is None
 
     def test_tlv_present_and_equals(self):
         engine = TerminusOffloadEngine()
@@ -42,8 +51,7 @@ class TestMatching:
         result = engine.process(
             "10.0.0.2", header(tlvs={TLV.TOPIC: b"t"}), 100, 0.0
         )
-        assert result.kind is ActionKind.FORWARD
-        assert result.peer == "10.0.0.3"
+        assert result == Decision.forward("10.0.0.3")
         engine2 = TerminusOffloadEngine()
         engine2.install_rule(
             5,
@@ -51,10 +59,10 @@ class TestMatching:
             OffloadAction(ActionKind.DROP),
         )
         assert (
-            engine2.process("s", header(tlvs={TLV.TOPIC: b"hot"}), 1, 0.0).kind
-            is ActionKind.DROP
+            engine2.process("s", header(tlvs={TLV.TOPIC: b"hot"}), 1, 0.0)
+            == DROP
         )
-        assert engine2.process("s", header(tlvs={TLV.TOPIC: b"cold"}), 1, 0.0).kind is None
+        assert engine2.process("s", header(tlvs={TLV.TOPIC: b"cold"}), 1, 0.0) is None
 
     def test_payload_len_and_src(self):
         engine = TerminusOffloadEngine()
@@ -66,9 +74,9 @@ class TestMatching:
             ),
             OffloadAction(ActionKind.DROP),
         )
-        assert engine.process("6.6.6.6", header(), 501, 0.0).kind is ActionKind.DROP
-        assert engine.process("6.6.6.6", header(), 499, 0.0).kind is None
-        assert engine.process("1.1.1.1", header(), 501, 0.0).kind is None
+        assert engine.process("6.6.6.6", header(), 501, 0.0) == DROP
+        assert engine.process("6.6.6.6", header(), 499, 0.0) is None
+        assert engine.process("1.1.1.1", header(), 501, 0.0) is None
 
     def test_flags_match(self):
         engine = TerminusOffloadEngine()
@@ -91,8 +99,8 @@ class TestMatching:
             (Match(MatchField.PAYLOAD_LEN_GT, 0),),
             OffloadAction(ActionKind.FORWARD, "10.0.0.9"),
         )
-        assert engine.process("s", header(), 50, 0.0).kind is ActionKind.DROP
-        assert engine.process("s", header(), 5, 0.0).kind is ActionKind.FORWARD
+        assert engine.process("s", header(), 50, 0.0) == DROP
+        assert engine.process("s", header(), 5, 0.0) == Decision.forward("10.0.0.9")
 
 
 class TestIsolation:
@@ -104,7 +112,7 @@ class TestIsolation:
             5, (Match(MatchField.PAYLOAD_LEN_GT, 0),), OffloadAction(ActionKind.DROP)
         )
         # Service 6's identical-looking packet is untouched.
-        assert engine.process("s", header(service_id=6), 100, 0.0).kind is None
+        assert engine.process("s", header(service_id=6), 100, 0.0) is None
 
     def test_rule_quota_enforced(self):
         engine = TerminusOffloadEngine(OffloadQuota(max_rules=2))
@@ -136,6 +144,34 @@ class TestIsolation:
                 OffloadAction(ActionKind.METER, "ghost"),
             )
 
+    def test_rejected_calls_leave_no_program(self):
+        """A refused rule or meter must not leave an empty program behind
+        for ``has_program`` to report."""
+        full = TerminusOffloadEngine(OffloadQuota(max_rules=0, max_meters=0))
+        with pytest.raises(OffloadError):
+            full.install_rule(5, (), OffloadAction(ActionKind.DROP))
+        with pytest.raises(OffloadError):
+            full.provision_meter(6, "m", 1000, 100)
+        engine = TerminusOffloadEngine()
+        with pytest.raises(OffloadError):
+            engine.install_rule(7, (), OffloadAction(ActionKind.METER, "ghost"))
+        with pytest.raises(ValueError):
+            engine.provision_meter(8, "m", 0, 100)  # not a valid bucket
+        for e in (full, engine):
+            assert e.programs() == ()
+            assert not any(e.has_program(sid) for sid in (5, 6, 7, 8))
+
+    def test_reprovisioning_a_meter_at_quota(self):
+        """Replacing a provisioned meter does not grow the meter count, so
+        the quota does not refuse it; a new name still is refused."""
+        engine = TerminusOffloadEngine(OffloadQuota(max_meters=1))
+        engine.provision_meter(5, "m1", 1000, 100)
+        engine.provision_meter(5, "m1", 2000, 200)
+        assert engine.program_for(5).meters["m1"].burst_bytes == 200
+        with pytest.raises(OffloadError):
+            engine.provision_meter(5, "m2", 1000, 100)
+        assert list(engine.program_for(5).meters) == ["m1"]
+
 
 class TestMeters:
     def test_meter_drops_over_rate(self):
@@ -148,13 +184,12 @@ class TestMeters:
         )
         # Burst of 200 B passes, the rest drops (falls through = pass).
         results = [
-            engine.process("fast-talker", header(), 100, 0.0).kind
-            for _ in range(5)
+            engine.process("fast-talker", header(), 100, 0.0) for _ in range(5)
         ]
         assert results[:2] == [None, None]  # within burst: fall through
-        assert all(r is ActionKind.DROP for r in results[2:])
+        assert all(r == DROP for r in results[2:])
         # After a second, the bucket refills 1000 B.
-        assert engine.process("fast-talker", header(), 100, 1.0).kind is None
+        assert engine.process("fast-talker", header(), 100, 1.0) is None
 
 
 class TestTerminusIntegration:
@@ -208,8 +243,6 @@ class TestTerminusIntegration:
         net.run(1.0)
         assert len(b.delivered) == 0
         # ...but once a cache entry exists, the cache wins.
-        from repro.core.decision_cache import CacheKey, Decision
-
         sn.cache.install(
             CacheKey(a.address, WellKnownService.IP_DELIVERY, conn.connection_id),
             Decision.forward(b.address),
@@ -217,3 +250,52 @@ class TestTerminusIntegration:
         a.send(conn, b"second")
         net.run(1.0)
         assert [p.data for _, p in b.delivered] == [b"second"]
+
+
+class _SelfOffloadingService(ServiceModule):
+    """Pushes a drop rule for connection 666 into its SN's terminus when it
+    is loaded, through App. B.1's service-facing hook."""
+
+    SERVICE_ID = 0x0C0C
+    NAME = "self-offloading"
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.seen: list[int] = []
+
+    def on_attach(self) -> None:
+        assert self.ctx is not None
+        self.ctx.offload_engine().install_rule(
+            self.SERVICE_ID,
+            (Match(MatchField.CONNECTION_ID, 666),),
+            OffloadAction(ActionKind.DROP),
+        )
+
+    def handle_packet(self, header, packet) -> Verdict:
+        self.seen.append(header.connection_id)
+        return Verdict.drop()
+
+
+def test_module_installs_its_rule_through_its_context():
+    sn_addr, peer = "10.0.0.1", "10.0.0.2"
+    node = ServiceNode(Simulator(), "sn", sn_addr)
+    node.terminus.set_transmit(lambda hop, pkts: len(pkts))
+    node.keystore.establish(peer, pairwise_secret(sn_addr, peer))
+    module = _SelfOffloadingService()
+    node.env.load(module)
+    assert node.terminus.offload.has_program(module.SERVICE_ID)
+    tx = PSPContext(pairwise_secret(sn_addr, peer))
+
+    def packet(conn: int) -> ILPPacket:
+        header = ILPHeader(service_id=module.SERVICE_ID, connection_id=conn)
+        return ILPPacket(
+            l3=L3Header(src=peer, dst=sn_addr),
+            ilp_wire=tx.seal(header.encode()),
+            payload=make_payload(b"x"),
+        )
+
+    node.terminus.receive_batch([packet(666), packet(7), packet(666)])
+    stats = node.terminus.stats
+    assert stats.drops_by_offload == 2
+    assert stats.punts == 1
+    assert module.seen == [7]

@@ -387,17 +387,6 @@ class TestMissCoalescing:
         assert queue.live == 0
         assert queue.stats.replayed == queue.stats.parked
 
-    def test_overflow_spills_to_per_packet_processing(self):
-        fx = _Fixture(_RecordingService(_installing_verdict))
-        fx.terminus.miss_queue.limit = 2
-        fx.terminus.receive_batch(self._cold_storm(fx))
-        queue = fx.terminus.miss_queue
-        assert queue.stats.spilled == self.FLOWS * (self.DEPTH - 1 - 2)
-        assert queue.stats.parked == self.FLOWS * 2
-        # Spilled packets hit the install via the scalar path: nothing lost.
-        assert len(fx.sent) == self.FLOWS * self.DEPTH
-        assert fx.terminus.stats.punts == self.FLOWS
-
     def test_barriers_flush_spans_and_punt_individually(self):
         fx = _Fixture(_RecordingService(_installing_verdict))
         batch = [

@@ -6,9 +6,11 @@ packet sequence to a real :class:`~repro.core.service_node.ServiceNode`
 terminus — as one burst, or as bursts of one — and, one packet at a time,
 to :class:`tests.reference.terminus_model.ReferenceTerminus`, an
 independent transcription of Figure 2 that shares no code with
-``pipe_terminus``. They must agree on every flow's egress projection
-(next hop, header plaintext, payload, ``qos_src``, in order) and on the
-``TerminusStats`` / ``CacheStats`` counters the figure defines.
+``pipe_terminus`` or the offload engine. They must agree on every flow's
+egress projection (next hop, header plaintext, payload, ``qos_src``, in
+order), on the ``TerminusStats`` / ``CacheStats`` counters the figure
+defines, on the offload programs' counters, and on how many punts crossed
+the service boundary.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from tests.property.test_terminus_batch_equivalence import (
     UNKNOWN_PEER,
     _DeterministicService as _Service,  # verdict = f(conn % 4), see there
 )
-from tests.reference.terminus_model import ReferenceTerminus, per_flow
+from tests.reference.terminus_model import Meter, ReferenceTerminus, Rule, per_flow
 
 PEERS = (PEER_A, PEER_B)
 SERVICE = _Service.SERVICE_ID
@@ -69,6 +71,10 @@ class _Scenario:
     name: str
     specs: tuple[_Spec, ...]
     installs: tuple[tuple[int, Decision], ...] = field(default=())
+    #: Offload program of SERVICE (module-backed): rules, then meters as
+    #: (name, rate_bps, burst_bytes).
+    program: tuple[Rule, ...] = ()
+    meters: tuple[tuple[str, float, int], ...] = ()
 
 
 def _runs(conns, depth, **kw) -> tuple[_Spec, ...]:
@@ -79,7 +85,32 @@ def _round_robin(conns, depth, **kw) -> tuple[_Spec, ...]:
     return tuple(_Spec(conn, **kw) for _ in range(depth) for conn in conns)
 
 
+def _payloads(conn, payloads) -> tuple[_Spec, ...]:
+    return tuple(_Spec(conn, payload=payload) for payload in payloads)
+
+
+def _interleave(*flows) -> tuple[_Spec, ...]:
+    """Round-robin several flows' specs, each flow's order kept."""
+    out: list[_Spec] = []
+    for i in range(max(map(len, flows))):
+        out += [flow[i] for flow in flows if i < len(flow)]
+    return tuple(out)
+
+
 _WARM = tuple((conn, Decision.forward(PEER_B)) for conn in range(4))
+LONG, SHORT = b"y" * 40, b"y" * 8
+#: OFFLOAD_SERVICE (no module) in every scenario: count, forward long ones.
+OFFLOAD_RULES: tuple[Rule, ...] = (
+    ((), ("count", "seen")),
+    ((("payload_len_gt", 12),), ("forward", PEER_B)),
+)
+#: SERVICE's program in the programmed scenarios: long packets go to
+#: PEER_A, so an offload forward and a verdict's PEER_B egress stay apart.
+FORWARD_LONG: tuple[Rule, ...] = (
+    ((("payload_len_gt", make_payload(SHORT).wire_size),), ("forward", PEER_A)),
+)
+#: Admits exactly two LONG packets at one instant (no refill at t = 0).
+METER_BURST = 2 * make_payload(LONG).wire_size
 
 SCENARIOS = (
     _Scenario("warm_flow_local", _runs(range(4), 4), _WARM),
@@ -97,8 +128,41 @@ SCENARIOS = (
     _Scenario(
         "offload_programmed",
         _round_robin([0, 1], 2, service_id=OFFLOAD_SERVICE, payload=b"y" * 40)
-        + _runs([2], 2, service_id=OFFLOAD_SERVICE)  # short: falls to the punt
+        + _runs([2], 2, service_id=OFFLOAD_SERVICE)  # 16 B on the wire: forwarded
         + _runs([1], 3),
+    ),
+    # The program forwards conn 1's long packets and passes the first short
+    # one on; its verdict installs, so the rest of the group hits (conn 5
+    # shares the span with a lead that installs at once).
+    _Scenario(
+        "programmed_lead_installs",
+        _interleave(
+            _payloads(1, [LONG, LONG, SHORT, LONG, SHORT]), _payloads(5, [SHORT, LONG])
+        ),
+        program=FORWARD_LONG,
+    ),
+    # The same, but conn 2's verdict installs nothing: its followers go back
+    # through the program, long ones forwarded, short ones punted.
+    _Scenario(
+        "programmed_lead_installs_nothing",
+        _interleave(
+            _payloads(2, [LONG, SHORT, LONG, SHORT, LONG]), _payloads(1, [SHORT, LONG])
+        ),
+        program=FORWARD_LONG,
+    ),
+    # The program resolves every packet of both groups: no punt, no batch.
+    _Scenario(
+        "program_resolves_groups",
+        _round_robin([1, 2], 3, payload=LONG),
+        program=FORWARD_LONG,
+    ),
+    # One metered flow: the meter admits 2 of 5 packets at one instant, the
+    # admitted ones fall through to the forward rule, the rest drop.
+    _Scenario(
+        "meter_admits_k_of_n",
+        _runs([1], 5, payload=LONG),
+        program=(((), ("meter", "m")),) + FORWARD_LONG,
+        meters=(("m", 8.0, METER_BURST),),
     ),
     _Scenario(
         "fanout_with_rewrite",
@@ -129,13 +193,18 @@ SCENARIOS = (
 OBS_ARMS: dict[str, Optional[int]] = {"obs_off": None, "quiet": 0, "sampled": 3}
 
 
-def _program_offload(engine) -> None:
-    engine.install_rule(OFFLOAD_SERVICE, (), OffloadAction(ActionKind.COUNT, "seen"))
-    engine.install_rule(
-        OFFLOAD_SERVICE,
-        (Match(MatchField.PAYLOAD_LEN_GT, 12),),
-        OffloadAction(ActionKind.FORWARD, PEER_B),
-    )
+def _program_offload(engine, scenario: _Scenario) -> None:
+    """Install the scenario's programs, spelled in the oracle's terms, into
+    the production engine."""
+    for name, rate, burst in scenario.meters:
+        engine.provision_meter(SERVICE, name, rate, burst)
+    for service_id, rules in ((OFFLOAD_SERVICE, OFFLOAD_RULES), (SERVICE, scenario.program)):
+        for matches, (kind, operand) in rules:
+            engine.install_rule(
+                service_id,
+                tuple(Match(MatchField(f), o) for f, o in matches),
+                OffloadAction(ActionKind(kind), operand),
+            )
 
 
 def _build(spec: _Spec, tx: dict[str, PSPContext]) -> ILPPacket:
@@ -159,7 +228,7 @@ def _packets(scenario: _Scenario) -> list[ILPPacket]:
     return [_build(spec, tx) for spec in scenario.specs]
 
 
-def _production(scenario, mode, sample_every, deliver: Callable) -> tuple[dict, dict, dict]:
+def _production(scenario, mode, sample_every, deliver: Callable):
     node = ServiceNode(Simulator(), "sn", SN_ADDR, invocation_mode=mode)
     sent: list[tuple[str, ILPPacket]] = []
     node.terminus.set_transmit(
@@ -168,7 +237,7 @@ def _production(scenario, mode, sample_every, deliver: Callable) -> tuple[dict, 
     for peer in PEERS:
         node.keystore.establish(peer, pairwise_secret(SN_ADDR, peer))
     node.env.load(_Service())
-    _program_offload(node.terminus.offload)
+    _program_offload(node.terminus.offload, scenario)
     if sample_every is not None:
         node.enable_observability(sample_every=sample_every, capacity=1024)
     for conn, decision in scenario.installs:
@@ -179,15 +248,27 @@ def _production(scenario, mode, sample_every, deliver: Callable) -> tuple[dict, 
         (peer, opener[peer].open(pkt.ilp_wire), pkt.payload.data, pkt.qos_src)
         for peer, pkt in sent
     ]
-    return per_flow(out), asdict(node.terminus.stats), asdict(node.cache.stats)
+    counters = {
+        (service_id, name): n
+        for service_id, program in node.terminus.offload.stats().items()
+        for name, n in program["counters"].items()
+    }
+    return (
+        per_flow(out),
+        asdict(node.terminus.stats),
+        asdict(node.cache.stats),
+        counters,
+        node.terminus.channel.stats,
+    )
 
 
 def _reference(scenario) -> ReferenceTerminus:
     model = ReferenceTerminus(
         {peer: pairwise_secret(SN_ADDR, peer) for peer in PEERS},
         {SERVICE: _Service()},
+        {OFFLOAD_SERVICE: list(OFFLOAD_RULES), SERVICE: list(scenario.program)},
+        {(SERVICE, name): Meter(rate, burst) for name, rate, burst in scenario.meters},
     )
-    _program_offload(model.offload)
     for conn, decision in scenario.installs:
         model.install((_ingress(conn), SERVICE, conn), decision)
     for packet in _packets(scenario):
@@ -209,7 +290,9 @@ def _bursts_of_one(terminus, packets) -> None:
 @pytest.mark.parametrize("obs_arm", sorted(OBS_ARMS))
 @pytest.mark.parametrize("mode", list(InvocationMode), ids=lambda m: m.value)
 def test_production_terminus_conforms_to_figure_2(mode, obs_arm, deliver, scenario):
-    flows, stats, cache_stats = _production(scenario, mode, OBS_ARMS[obs_arm], deliver)
+    flows, stats, cache_stats, counters, channel = _production(
+        scenario, mode, OBS_ARMS[obs_arm], deliver
+    )
     model = _reference(scenario)
     assert flows == model.per_flow()
     # Every TerminusStats field is a Figure-2 outcome the model counts
@@ -218,3 +301,8 @@ def test_production_terminus_conforms_to_figure_2(mode, obs_arm, deliver, scenar
     for name in ("lookups", "hits", "misses", "installs"):
         assert cache_stats[name] == model.cache_stats[name], name
     assert cache_stats["evictions"] == 0  # the oracle's table is unbounded
+    assert counters == dict(model.counters)
+    # Every punt to a loaded service crossed once, and nothing else did.
+    crossed = model.stats["punts"] - model.stats["drops_no_service"]
+    assert channel.invocations == crossed
+    assert (channel.batches == 0) == (crossed == 0)

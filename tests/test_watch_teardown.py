@@ -139,3 +139,18 @@ class TestWatchesEndWhereTheyStarted:
         )
         net.disable_resilience()
         net.sim.run_until_idle()
+
+    def test_enable_after_disable_applies_the_new_arguments(self, two_edomain_net):
+        net = two_edomain_net
+        net.enable_resilience(interval=0.25)
+        net.disable_resilience()
+        net.enable_resilience(interval=1.0, dead_multiple=12.0)
+        for sn in net.all_sns():
+            assert sn.health is not None and sn.health.running
+            assert sn.health.interval == 1.0
+            assert sn.health.dead_multiple == 12.0
+            assert all(
+                d.dead_multiple == 12.0 for d in sn.health.detectors.values()
+            )
+        net.disable_resilience()
+        net.sim.run_until_idle()
