@@ -64,9 +64,6 @@ class GlobalLookupService:
         self.updates = 0
 
     # -- identity -----------------------------------------------------------
-    def register_identity(self, keypair: KeyPair) -> None:
-        self.registry.register(keypair)
-
     def register_address(
         self,
         address: str,
@@ -112,10 +109,6 @@ class GlobalLookupService:
         self.registry.register(owner)
         self._group_owners[group] = owner.public
         self.updates += 1
-
-    def group_owner(self, group: str) -> Optional[bytes]:
-        self.queries += 1
-        return self._group_owners.get(group)
 
     def post_open_group(self, group: str, owner: KeyPair) -> OpenGroupStatement:
         """Owner posts a signed everyone-may-join statement (§6.2)."""

@@ -144,9 +144,6 @@ class EdomainMembershipCore:
     def member_sns(self, group: str) -> set[str]:
         return self.store.members(_members_key(group))
 
-    def sender_sns(self, group: str) -> set[str]:
-        return self.store.members(_senders_key(group))
-
     def member_edomains(self, group: str) -> set[str]:
         """Other edomains with members (valid for sender-registered groups)."""
         return set(self.remote_member_edomains.get(group, set()))

@@ -68,15 +68,3 @@ class NameService:
             address=address,
             associated_sns=tuple(record.associated_sns),
         )
-
-    def resolve_address(self, address: str) -> Resolution:
-        """Resolve a raw address (no directory hop)."""
-        record = self._lookup.address_record(address)
-        if record is None:
-            raise NamingError(f"no lookup record for {address}")
-        self.resolutions += 1
-        return Resolution(
-            name=address,
-            address=address,
-            associated_sns=tuple(record.associated_sns),
-        )

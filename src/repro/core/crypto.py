@@ -244,9 +244,6 @@ class SignatureRegistry:
     def register(self, keypair: KeyPair) -> None:
         self._by_public[keypair.public] = keypair
 
-    def is_registered(self, public: bytes) -> bool:
-        return public in self._by_public
-
     def verify(self, public: bytes, message: bytes, signature: bytes) -> bool:
         keypair = self._by_public.get(public)
         if keypair is None:

@@ -49,11 +49,6 @@ class DiscoveryDirectory:
     def withdraw(self, sn: ServiceNode) -> None:
         self._ads = [ad for ad in self._ads if ad.sn is not sn]
 
-    def set_load(self, sn: ServiceNode, load: float) -> None:
-        for ad in self._ads:
-            if ad.sn is sn:
-                ad.load = load
-
     # -- configuration -----------------------------------------------------
     def by_config(self, address: str) -> ServiceNode:
         for ad in self._ads:

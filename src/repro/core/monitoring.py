@@ -73,10 +73,6 @@ class SNSnapshot:
         """Deadline misses per punt (0 when nothing was punted)."""
         return self.deadline_misses / self.punts if self.punts else 0.0
 
-    @property
-    def pipes_watched(self) -> int:
-        return self.pipes_up + self.pipes_suspect + self.pipes_dead
-
 
 def snapshot_sn(sn: ServiceNode) -> SNSnapshot:
     from .resilience import PeerState
@@ -188,20 +184,8 @@ class FederationReport:
         return sum(s.pipes_dead for s in self.snapshots)
 
     @property
-    def suspect_pipes(self) -> int:
-        return sum(s.pipes_suspect for s in self.snapshots)
-
-    @property
     def crashed_sns(self) -> int:
         return sum(1 for s in self.snapshots if s.crashed)
-
-    def unhealthy_sns(self) -> list[SNSnapshot]:
-        """SNs that are crashed or see at least one non-UP pipe."""
-        return [
-            s
-            for s in self.snapshots
-            if s.crashed or s.pipes_suspect or s.pipes_dead
-        ]
 
     def by_edomain(self) -> dict[str, list[SNSnapshot]]:
         grouped: dict[str, list[SNSnapshot]] = {}

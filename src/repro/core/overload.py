@@ -357,12 +357,6 @@ class OverloadGuard:
         self.policies[service_id] = policy
         self.breakers[service_id] = CircuitBreaker(policy.breaker)
 
-    def policy_for(self, service_id: int) -> Optional[ServicePolicy]:
-        return self.policies.get(service_id)
-
-    def breaker_for(self, service_id: int) -> Optional[CircuitBreaker]:
-        return self.breakers.get(service_id)
-
     def enable_admission(
         self, config: Optional[AdmissionConfig] = None
     ) -> AdmissionControl:

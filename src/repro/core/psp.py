@@ -295,9 +295,9 @@ class PeerKeyStore:
     """
 
     contexts: dict[str, PSPContext] = field(default_factory=dict)
-    #: peer -> the epoch its last removed context sealed under, so a
-    #: re-association can start past it (:func:`associate`).
-    retired: dict[str, int] = field(default_factory=dict)
+    #: peer -> generation of the newest association with it, kept after
+    #: ``remove`` so a re-association gets fresh keys (:func:`associate`).
+    generations: dict[str, int] = field(default_factory=dict)
 
     def establish(
         self, peer: str, master_secret: bytes, local: Optional[str] = None
@@ -323,14 +323,7 @@ class PeerKeyStore:
         return peer in self.contexts
 
     def remove(self, peer: str) -> None:
-        ctx = self.contexts.pop(peer, None)
-        if ctx is not None:
-            self.retired[peer] = ctx.epoch
-
-    def last_epoch(self, peer: str) -> Optional[int]:
-        """The newest epoch this node has sealed to ``peer`` under, if any."""
-        ctx = self.contexts.get(peer)
-        return ctx.epoch if ctx is not None else self.retired.get(peer)
+        self.contexts.pop(peer, None)
 
     def __len__(self) -> int:
         return len(self.contexts)
@@ -361,21 +354,19 @@ def associate(a: _Endpoint, b: _Endpoint) -> None:
     """Create both ends of the ``a ↔ b`` PSP association, one SA per direction.
 
     No nonce counter restarts under a key it has sealed with: a live pair
-    is kept as it is, and a pair that ever had an end starts both ends
-    on the epoch after the newest one either end sealed under.
+    is kept as it is, and every new association is one generation past
+    the newest either end has had, with its own master secret. The
+    counter never wraps; generation 0 is :func:`pairwise_secret` itself.
     """
     if a.keystore.has(b.address) and b.keystore.has(a.address):
         return
-    used = [
-        epoch
-        for epoch in (a.keystore.last_epoch(b.address), b.keystore.last_epoch(a.address))
-        if epoch is not None
-    ]
-    epoch = (max(used) + 1) & 0xFF if used else 0
+    generation = 1 + max(
+        a.keystore.generations.get(b.address, -1),
+        b.keystore.generations.get(a.address, -1),
+    )
+    a.keystore.generations[b.address] = b.keystore.generations[a.address] = generation
     secret = pairwise_secret(a.address, b.address)
-    a.keystore.contexts[b.address] = PSPContext(
-        secret, epoch, endpoints=(a.address, b.address)
-    )
-    b.keystore.contexts[a.address] = PSPContext(
-        secret, epoch, endpoints=(b.address, a.address)
-    )
+    if generation:
+        secret = crypto.derive_key(secret, "psp-generation", str(generation).encode())
+    a.keystore.contexts[b.address] = PSPContext(secret, endpoints=(a.address, b.address))
+    b.keystore.contexts[a.address] = PSPContext(secret, endpoints=(b.address, a.address))

@@ -234,13 +234,6 @@ class PipeHealthMonitor:
             self.detectors[address] = detector
         return detector
 
-    def unwatch_peer(self, address: str) -> None:
-        self.detectors.pop(address, None)
-
-    def state_of(self, address: str) -> Optional[PeerState]:
-        detector = self.detectors.get(address)
-        return detector.state if detector is not None else None
-
     def state_counts(self) -> dict[PeerState, int]:
         counts = {state: 0 for state in PeerState}
         for detector in self.detectors.values():

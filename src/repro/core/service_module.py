@@ -188,9 +188,6 @@ class ServiceRegistry:
         except KeyError:
             raise ServiceError(f"unknown service id {service_id}") from None
 
-    def module_class(self, service_id: int) -> type[ServiceModule]:
-        return self._get(service_id).module_cls
-
     def status(self, service_id: int) -> Standardization:
         return self._get(service_id).status
 
@@ -203,9 +200,6 @@ class ServiceRegistry:
             for reg in self._services.values()
             if reg.status is Standardization.REQUIRED
         ]
-
-    def all_services(self) -> list[type[ServiceModule]]:
-        return [reg.module_cls for reg in self._services.values()]
 
 
 #: Standardized service IDs (the governance body's number space). Bundles

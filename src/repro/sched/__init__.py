@@ -7,17 +7,14 @@ provides those schedulers as standalone, well-tested primitives:
 
 * :class:`TokenBucket` — rate limiting / shaping;
 * :class:`WeightedFairQueue` — virtual-time WFQ (Parekh's GPS emulation);
-* :class:`DeficitRoundRobin` — the cheaper byte-fair alternative;
 * :class:`PriorityScheduler` — strict priorities with WFQ within a level.
 """
 
-from .drr import DeficitRoundRobin
 from .priority import PriorityScheduler
 from .token_bucket import TokenBucket
 from .wfq import WeightedFairQueue
 
 __all__ = [
-    "DeficitRoundRobin",
     "PriorityScheduler",
     "TokenBucket",
     "WeightedFairQueue",

@@ -45,11 +45,6 @@ class WeightedFairQueue:
             raise SchedulerError(f"flow {name!r} already exists")
         self._flows[name] = _FlowState(weight=weight)
 
-    def set_weight(self, name: str, weight: float) -> None:
-        if weight <= 0:
-            raise SchedulerError("weight must be positive")
-        self._flow(name).weight = weight
-
     def _flow(self, name: str) -> _FlowState:
         try:
             return self._flows[name]

@@ -61,9 +61,6 @@ class PathSelector:
     def configure_site(self, site: str, paths: list[PathMetric]) -> None:
         self._sites[site] = SitePolicy(site=site, paths=paths)
 
-    def site_for(self, site: str) -> Optional[SitePolicy]:
-        return self._sites.get(site)
-
     def select(self, site: str) -> Optional[str]:
         policy = self._sites.get(site)
         if policy is None:

@@ -10,7 +10,7 @@ from repro.core.ilp import ILPHeader, TLV
 from repro.core.psp import PSPContext, pairwise_secret
 from repro.netsim import Simulator
 from repro.netsim.trace import percentile
-from repro.sched import DeficitRoundRobin, WeightedFairQueue
+from repro.sched import WeightedFairQueue
 
 
 # -- ILP header roundtrip ------------------------------------------------------
@@ -172,24 +172,6 @@ class TestSchedulerProperties:
         for got, weight in zip(served, weights):
             expected = total_served * weight / total_weight
             assert got == pytest.approx(expected, rel=0.25)
-
-    @given(
-        quanta=st.lists(st.integers(min_value=50, max_value=500), min_size=2, max_size=4)
-    )
-    @settings(max_examples=30)
-    def test_drr_conserves_work(self, quanta):
-        drr = DeficitRoundRobin()
-        for i, q in enumerate(quanta):
-            drr.add_flow(f"f{i}", q)
-        total = 0
-        for i in range(len(quanta)):
-            for _ in range(15):
-                drr.enqueue(f"f{i}", 120, None)
-                total += 1
-        seen = 0
-        while drr.dequeue() is not None:
-            seen += 1
-        assert seen == total
 
 
 # -- simulator -----------------------------------------------------------

@@ -25,7 +25,7 @@ from hypothesis import given
 from repro import InterEdge
 from repro.core import crypto
 from repro.core.host import Host
-from repro.core.psp import PSPContext, PSPError, pairwise_secret
+from repro.core.psp import PSPContext, PSPError, associate, pairwise_secret
 from repro.core.service_module import WellKnownService
 from repro.core.service_node import ServiceNode
 from repro.netsim import Link, Simulator
@@ -167,19 +167,41 @@ class TestReassociationNeverReusesANonce:
         assert not set(up) & set(_sealed_prefixes(host.keystore.get(hot.address), 3))
         assert not set(down) & set(_sealed_prefixes(hot.keystore.get(host.address), 3))
 
-    def test_pipe_rebuilt_after_teardown_moves_to_a_fresh_epoch(self):
+    def test_pipe_rebuilt_after_teardown_moves_to_a_fresh_key(self):
         sim = Simulator()
         west = ServiceNode(sim, "west", "10.0.0.1")
         east = ServiceNode(sim, "east", "10.0.0.2")
         west.establish_pipe(east)
-        first = _sealed_prefixes(west.keystore.get(east.address), 3)
+        first = [west.keystore.get(east.address).seal(b"ilp header") for _ in range(3)]
         west.teardown_pipe(east.address)
         east.teardown_pipe(west.address)
         west.establish_pipe(east)
         tx, rx = west.keystore.get(east.address), east.keystore.get(west.address)
-        assert tx.epoch == rx.epoch == 1
-        assert not set(first) & set(_sealed_prefixes(tx, 3))
-        assert rx.open(tx.seal(b"fresh epoch")) == b"fresh epoch"
+        # Same epoch 0 and wire nonces 1..3, but under the next generation's key.
+        again = [tx.seal(b"ilp header") for _ in range(3)]
+        assert tx.epoch == rx.epoch == 0
+        assert [f[:9] for f in first] == [f[:9] for f in again]
+        assert not set(first) & set(again)
+        assert rx.open(tx.seal(b"fresh key")) == b"fresh key"
+
+    def test_reassociation_after_a_full_epoch_wrap(self):
+        """256 epochs later the epoch byte is back at 0: only a fresh key
+        keeps the new SA's first frame from repeating the old SA's."""
+        sim = Simulator()
+        a = ServiceNode(sim, "a", "10.0.0.1")
+        b = ServiceNode(sim, "b", "10.0.0.2")
+        associate(a, b)
+        ctx = a.keystore.get(b.address)
+        first = ctx.seal(b"ilp header")
+        for _ in range(255):
+            ctx.rotate()
+        a.keystore.remove(b.address)
+        b.keystore.remove(a.address)
+        associate(a, b)
+        again = a.keystore.get(b.address).seal(b"ilp header")
+        assert again[:9] == first[:9]  # epoch 0, nonce 1 on both
+        assert again != first
+        assert b.keystore.get(a.address).open(again) == b"ilp header"
 
 
 class TestForwardEpochNeedsAnAuthenticFrame:

@@ -1,13 +1,8 @@
-"""Unit tests for the scheduling primitives (WFQ, DRR, priority, bucket)."""
+"""Unit tests for the scheduling primitives (WFQ, priority, bucket)."""
 
 import pytest
 
-from repro.sched import (
-    DeficitRoundRobin,
-    PriorityScheduler,
-    TokenBucket,
-    WeightedFairQueue,
-)
+from repro.sched import PriorityScheduler, TokenBucket, WeightedFairQueue
 from repro.sched.wfq import SchedulerError
 
 
@@ -98,41 +93,6 @@ class TestWFQ:
     def test_invalid_weight(self):
         with pytest.raises(SchedulerError):
             WeightedFairQueue().add_flow("f", 0.0)
-
-
-class TestDRR:
-    def test_quantum_proportional_service(self):
-        drr = DeficitRoundRobin()
-        drr.add_flow("big", quantum=300)
-        drr.add_flow("small", quantum=100)
-        for i in range(100):
-            drr.enqueue("big", 100, i)
-            drr.enqueue("small", 100, i)
-        for _ in range(100):
-            drr.dequeue()
-        ratio = drr.bytes_dequeued("big") / max(1, drr.bytes_dequeued("small"))
-        assert ratio == pytest.approx(3.0, rel=0.25)
-
-    def test_oversized_packet_eventually_served(self):
-        drr = DeficitRoundRobin()
-        drr.add_flow("f", quantum=10)
-        drr.enqueue("f", 100, "jumbo")
-        assert drr.dequeue() == ("f", 100, "jumbo")
-
-    def test_empty(self):
-        assert DeficitRoundRobin().dequeue() is None
-
-    def test_interleaves_flows(self):
-        drr = DeficitRoundRobin()
-        drr.add_flow("a", quantum=100)
-        drr.add_flow("b", quantum=100)
-        for i in range(3):
-            drr.enqueue("a", 100, f"a{i}")
-            drr.enqueue("b", 100, f"b{i}")
-        flows = [drr.dequeue()[0] for _ in range(6)]
-        assert flows.count("a") == 3 and flows.count("b") == 3
-        # No flow gets all its packets before the other starts.
-        assert flows[:3].count("a") < 3
 
 
 class TestPriorityScheduler:
