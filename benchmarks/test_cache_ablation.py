@@ -70,8 +70,9 @@ def _drive(node, tx_ctx, n_flows: int, packets_per_flow: int, flush: bool):
     count = 0
     for round_i in range(packets_per_flow):
         for flow in range(n_flows):
-            header = ILPHeader(service_id=0x0002, connection_id=flow)
-            header.set_str(TLV.DEST_ADDR, "192.168.0.9")
+            header = ILPHeader(
+                service_id=0x0002, connection_id=flow, tlvs={TLV.DEST_ADDR: b"192.168.0.9"}
+            )
             pkt = ILPPacket(
                 l3=L3Header(src=INGRESS, dst=SN_ADDR),
                 ilp_wire=tx_ctx.seal(header.encode()),

@@ -130,9 +130,11 @@ HEADER_BYTES = None
 
 
 def _header_bytes() -> bytes:
-    h = ILPHeader(service_id=2, connection_id=123456)
-    h.set_str(TLV.DEST_ADDR, "192.168.0.77")
-    h.set_str(TLV.SRC_HOST, "192.168.0.12")
+    h = ILPHeader(
+        service_id=2,
+        connection_id=123456,
+        tlvs={TLV.DEST_ADDR: b"192.168.0.77", TLV.SRC_HOST: b"192.168.0.12"},
+    )
     return h.encode()
 
 

@@ -22,8 +22,7 @@ _results: list[dict] = []
 
 
 def _mk_packet(payload_size: int) -> tuple[ILPHeader, ILPPacket]:
-    header = ILPHeader(service_id=1, connection_id=42)
-    header.set_str(TLV.DEST_ADDR, "192.168.0.9")
+    header = ILPHeader(service_id=1, connection_id=42, tlvs={TLV.DEST_ADDR: b"192.168.0.9"})
     packet = ILPPacket(
         l3=L3Header(src="10.0.0.2", dst="10.0.0.1"),
         ilp_wire=b"\x00" * 48,

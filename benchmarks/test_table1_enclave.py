@@ -96,8 +96,11 @@ class _Table1Rig:
         self.node.keystore.establish(EGRESS, secret_out)
         self.tx_ctx = PSPContext(secret_in)
         self.enclave = _SEVIOModel() if enclave else None
-        header = ILPHeader(service_id=_EchoService.SERVICE_ID, connection_id=7)
-        header.set_str(TLV.DEST_ADDR, "192.168.0.9")
+        header = ILPHeader(
+            service_id=_EchoService.SERVICE_ID,
+            connection_id=7,
+            tlvs={TLV.DEST_ADDR: b"192.168.0.9"},
+        )
         self._header_bytes = header.encode()
         if service:
             self.node.env.load(_EchoService())

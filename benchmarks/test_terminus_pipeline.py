@@ -82,9 +82,11 @@ def _make_rig():
 
 
 def _header_bytes(conn: int, service: int = 2) -> bytes:
-    h = ILPHeader(service_id=service, connection_id=conn)
-    h.set_str(TLV.DEST_ADDR, "192.168.0.77")
-    h.set_str(TLV.SRC_HOST, "192.168.0.12")
+    h = ILPHeader(
+        service_id=service,
+        connection_id=conn,
+        tlvs={TLV.DEST_ADDR: b"192.168.0.77", TLV.SRC_HOST: b"192.168.0.12"},
+    )
     return h.encode()
 
 

@@ -12,7 +12,6 @@ a human-name → address directory (a DNS stand-in).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .lookup import GlobalLookupService
 

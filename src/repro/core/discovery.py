@@ -12,7 +12,7 @@ implemented against a per-IESP directory of advertised SNs:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..netsim.node import NetNode

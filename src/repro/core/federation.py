@@ -22,8 +22,7 @@ from typing import Any, Optional
 from ..control.lookup import GlobalLookupService
 from ..control.naming import NameService
 from ..netsim.engine import Simulator
-from .crypto import KeyPair
-from .edomain import Edomain, EdomainError
+from .edomain import Edomain
 from .host import Host
 from .ipc import CostModel, InvocationMode
 from .service_module import ServiceModule, ServiceRegistry, Standardization

@@ -210,8 +210,7 @@ class Host(NetNode):
         """
         if conn.closed:
             raise HostError("connection is closed")
-        header = self._build_header(conn, extra_tlvs, first)
-        header.flags |= extra_flags
+        header = self._build_header(conn, extra_tlvs, first, extra_flags)
         body = payload if payload is not None else make_payload(data)
         conn.packets_sent += 1
         target = conn.direct_peer or conn.via_sn
@@ -222,25 +221,22 @@ class Host(NetNode):
         conn: HostConnection,
         extra_tlvs: Optional[dict[int, bytes]],
         first: Optional[bool],
+        extra_flags: int,
     ) -> ILPHeader:
-        flags = Flags.NONE
         is_first = conn.packets_sent == 0 if first is None else first
-        if is_first:
-            flags |= Flags.FIRST
-        header = ILPHeader(
-            service_id=conn.service_id,
-            connection_id=conn.connection_id,
-            flags=flags,
-            tlvs=dict(conn.tlvs),
-        )
-        header.set_str(TLV.SRC_HOST, self.address)
+        tlvs = {**conn.tlvs, TLV.SRC_HOST: self.address.encode()}
         if conn.dest_addr is not None:
-            header.set_str(TLV.DEST_ADDR, conn.dest_addr)
+            tlvs[TLV.DEST_ADDR] = conn.dest_addr.encode()
         if conn.dest_sn is not None:
-            header.set_str(TLV.DEST_SN, conn.dest_sn)
+            tlvs[TLV.DEST_SN] = conn.dest_sn.encode()
         if extra_tlvs:
-            header.tlvs.update(extra_tlvs)
-        return header
+            tlvs.update(extra_tlvs)
+        return ILPHeader(
+            conn.service_id,
+            conn.connection_id,
+            (Flags.FIRST if is_first else Flags.NONE) | extra_flags,
+            tlvs,
+        )
 
     def close(self, conn: HostConnection) -> None:
         """Close a connection, telling the service via a LAST-flagged packet."""
@@ -251,8 +247,8 @@ class Host(NetNode):
             service_id=conn.service_id,
             connection_id=conn.connection_id,
             flags=Flags.LAST,
+            tlvs={TLV.SRC_HOST: self.address.encode()},
         )
-        header.set_str(TLV.SRC_HOST, self.address)
         target = conn.direct_peer or conn.via_sn
         self._seal_and_send(target, header, Payload(l4=None))
 
@@ -269,9 +265,8 @@ class Host(NetNode):
             service_id=service_id,
             connection_id=connection_id or new_connection_id(),
             flags=Flags.CONTROL,
-            tlvs=dict(tlvs),
+            tlvs={**tlvs, TLV.SRC_HOST: self.address.encode()},
         )
-        header.set_str(TLV.SRC_HOST, self.address)
         target = via or self.first_hop_for(service_id).address
         return self._seal_and_send(target, header, Payload(l4=None))
 

@@ -18,7 +18,8 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 ILP_VERSION = 1
 _FIXED_FMT = ">BHBQ"
@@ -30,6 +31,9 @@ _TLV_HEADER = struct.calcsize(_TLV_FMT)
 #: service ID). The terminus burst-sharding stage peeks at this byte to
 #: spot slow-path packets without decoding the whole header.
 FLAGS_WIRE_OFFSET = struct.calcsize(">BH")
+
+#: Slot writes that bypass the frozen ``__setattr__`` (construction, memo).
+_set = object.__setattr__
 
 
 class ILPError(Exception):
@@ -69,116 +73,64 @@ class TLV:
     SERVICE_PRIVATE = 0x80  # first service-private type
 
 
-class _TLVMap(dict):
-    """A TLV dict that counts its mutations.
-
-    :meth:`ILPHeader.encode` memoizes the wire form against this version
-    counter, so arbitrary in-place TLV edits (the service modules mutate
-    ``header.tlvs`` directly all over) transparently invalidate the cache
-    without the header wrapping every access.
-    """
-
-    __slots__ = ("_v",)
-
-    def __init__(self, *args, **kwargs) -> None:
-        dict.__init__(self, *args, **kwargs)
-        self._v = 0
-
-    def __reduce__(self):
-        # Rebuild through __init__ (default dict-subclass pickling restores
-        # items before slot state, hitting __setitem__ with no _v yet).
-        return (self.__class__, (dict(self),))
-
-    def __setitem__(self, key, value) -> None:
-        self._v += 1
-        dict.__setitem__(self, key, value)
-
-    def __delitem__(self, key) -> None:
-        self._v += 1
-        dict.__delitem__(self, key)
-
-    def pop(self, *args):
-        self._v += 1
-        return dict.pop(self, *args)
-
-    def popitem(self):
-        self._v += 1
-        return dict.popitem(self)
-
-    def clear(self) -> None:
-        self._v += 1
-        dict.clear(self)
-
-    def update(self, *args, **kwargs) -> None:
-        self._v += 1
-        dict.update(self, *args, **kwargs)
-
-    def setdefault(self, key, default=None):
-        self._v += 1
-        return dict.setdefault(self, key, default)
-
-
-#: Fields whose assignment invalidates a header's cached wire form.
-_WIRE_FIELDS = frozenset(("service_id", "connection_id", "flags", "tlvs"))
-
-
-@dataclass
-# dict-backed by design: the encode() memo lives in __dict__ (see
-# __setattr__/__getstate__); slots would break the wire cache (the one
-# exception in tests/test_ilp_packet.py::TestWireClassLayout).
+@dataclass(frozen=True, slots=True, init=False)
 class ILPHeader:
-    """Decoded ILP header.
+    """Decoded ILP header: an immutable value.
 
-    ``encode()`` is memoized: the wire form is cached and invalidated on any
-    field assignment or TLV mutation, so the fast path (N forwarding
-    targets, no TLV rewrites) encodes once and seals N times.
+    No field can be assigned and ``tlvs`` is a read-only mapping. A rewrite
+    returns a new header: :meth:`with_tlvs` for TLVs,
+    ``dataclasses.replace`` for the fixed-prefix fields. Because nothing a
+    header is built from can change, ``encode()`` memoizes its wire form
+    for good, and a header decoded from canonical bytes keeps them as that
+    memo: the decode → re-encode fast path never serializes.
     """
 
     service_id: int
     connection_id: int
-    flags: int = Flags.NONE
-    tlvs: dict[int, bytes] = field(default_factory=dict)
+    flags: int
+    tlvs: Mapping[int, bytes]
+    _wire: Optional[bytes] = field(default=None, init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.service_id <= 0xFFFF:
-            raise ILPError(f"service_id out of range: {self.service_id}")
-        if not 0 <= self.connection_id < 2**64:
-            raise ILPError(f"connection_id out of range: {self.connection_id}")
+    def __init__(
+        self,
+        service_id: int,
+        connection_id: int,
+        flags: int = Flags.NONE,
+        tlvs: Optional[Mapping[int, bytes]] = None,
+    ) -> None:
+        if not 0 <= service_id <= 0xFFFF:
+            raise ILPError(f"service_id out of range: {service_id}")
+        if not 0 <= connection_id < 2**64:
+            raise ILPError(f"connection_id out of range: {connection_id}")
+        _set(self, "service_id", service_id)
+        _set(self, "connection_id", connection_id)
+        _set(self, "flags", flags)
+        _set(self, "tlvs", MappingProxyType(dict(tlvs) if tlvs else {}))
+        _set(self, "_wire", None)
 
-    def __setattr__(self, name: str, value) -> None:
-        d = self.__dict__
-        if name in _WIRE_FIELDS:
-            d["_wire"] = None
-            if name == "tlvs" and value.__class__ is not _TLVMap:
-                value = _TLVMap(value)
-        d[name] = value
+    def __reduce__(self) -> tuple[type, tuple[int, int, int, dict[int, bytes]]]:
+        # Pickle, copy and deepcopy rebuild through __init__ (a read-only
+        # mapping does not pickle); the memo is re-derived on demand.
+        return (ILPHeader, (self.service_id, self.connection_id, self.flags, dict(self.tlvs)))
 
-    def __getstate__(self):
-        # The wire memo never crosses pickle/copy: the TLV map's version
-        # counter restarts at 0 on the other side, so a carried-over
-        # (_wire, _wire_v) pair could later alias a mutated map.
-        state = dict(self.__dict__)
-        state.pop("_wire", None)
-        state.pop("_wire_v", None)
-        return state
+    def with_tlvs(self, updates: Mapping[int, Optional[bytes]]) -> "ILPHeader":
+        """A copy with ``updates`` applied: a ``None`` value removes the TLV."""
+        tlvs = dict(self.tlvs)
+        for tlv_type, value in updates.items():
+            if value is None:
+                tlvs.pop(tlv_type, None)
+            else:
+                tlvs[tlv_type] = value
+        return ILPHeader(self.service_id, self.connection_id, self.flags, tlvs)
 
     # -- TLV convenience accessors ------------------------------------
-    def set_str(self, tlv_type: int, value: str) -> None:
-        self.tlvs[tlv_type] = value.encode()
-
     def get_str(self, tlv_type: int) -> Optional[str]:
         raw = self.tlvs.get(tlv_type)
         return raw.decode() if raw is not None else None
 
-    def set_u64(self, tlv_type: int, value: int) -> None:
-        self.tlvs[tlv_type] = struct.pack(">Q", value)
-
     def get_u64(self, tlv_type: int) -> Optional[int]:
         raw = self.tlvs.get(tlv_type)
         return struct.unpack(">Q", raw)[0] if raw is not None else None
-
-    def set_f64(self, tlv_type: int, value: float) -> None:
-        self.tlvs[tlv_type] = struct.pack(">d", value)
 
     def get_f64(self, tlv_type: int) -> Optional[float]:
         raw = self.tlvs.get(tlv_type)
@@ -194,29 +146,29 @@ class ILPHeader:
 
     # -- wire format ----------------------------------------------------
     def encode(self) -> bytes:
-        tlvs = self.tlvs
-        d = self.__dict__
-        wire = d.get("_wire")
-        if wire is not None and d.get("_wire_v") == tlvs._v:
+        wire = self._wire
+        if wire is not None:
             return wire
-        parts = [
-            struct.pack(
-                _FIXED_FMT,
-                ILP_VERSION,
-                self.service_id,
-                self.flags,
-                self.connection_id,
-            )
-        ]
-        for tlv_type in sorted(tlvs):
-            value = tlvs[tlv_type]
-            if len(value) > 0xFFFF:
-                raise ILPError(f"TLV {tlv_type} too long ({len(value)}B)")
-            parts.append(struct.pack(_TLV_FMT, tlv_type, len(value)))
-            parts.append(value)
+        tlvs = self.tlvs
+        try:
+            parts = [
+                struct.pack(
+                    _FIXED_FMT,
+                    ILP_VERSION,
+                    self.service_id,
+                    self.flags,
+                    self.connection_id,
+                )
+            ]
+            for tlv_type in sorted(tlvs):
+                value = tlvs[tlv_type]
+                parts.append(struct.pack(_TLV_FMT, tlv_type, len(value)))
+                parts.append(value)
+        except struct.error as exc:
+            # Flags or a TLV type outside one byte, a value over 64 KiB.
+            raise ILPError(f"header field out of range: {exc}") from None
         wire = b"".join(parts)
-        d["_wire"] = wire
-        d["_wire_v"] = tlvs._v
+        _set(self, "_wire", wire)
         return wire
 
     @staticmethod
@@ -244,44 +196,16 @@ class ILPHeader:
             if tlv_type <= prev_type:
                 canonical = False
             prev_type = tlv_type
-        header = ILPHeader(
-            service_id=service_id,
-            connection_id=connection_id,
-            flags=flags,
-            tlvs=tlvs,
-        )
+        header = ILPHeader(service_id, connection_id, flags, tlvs)
         if canonical:
             # ``raw`` is already what encode() would produce (TLVs in
-            # canonical sorted order, no duplicates): pre-seed the memo so
-            # the decode -> re-encode fast path never serializes.
-            d = header.__dict__
-            d["_wire"] = raw
-            d["_wire_v"] = header.tlvs._v
+            # canonical sorted order, no duplicates).
+            _set(header, "_wire", raw)
         return header
 
     @property
     def encoded_size(self) -> int:
-        d = self.__dict__
-        wire = d.get("_wire")
-        if wire is not None and d.get("_wire_v") == self.tlvs._v:
-            return len(wire)
-        return _FIXED_SIZE + sum(
-            _TLV_HEADER + len(value) for value in self.tlvs.values()
-        )
-
-    def copy(self) -> "ILPHeader":
-        dup = ILPHeader(
-            service_id=self.service_id,
-            connection_id=self.connection_id,
-            flags=self.flags,
-            tlvs=dict(self.tlvs),
-        )
-        d = self.__dict__
-        wire = d.get("_wire")
-        if wire is not None and d.get("_wire_v") == self.tlvs._v:
-            dup.__dict__["_wire"] = wire
-            dup.__dict__["_wire_v"] = dup.tlvs._v
-        return dup
+        return len(self.encode())
 
 
 def new_connection_id() -> int:

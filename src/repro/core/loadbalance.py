@@ -17,13 +17,11 @@ association is never torn down mid-move.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..netsim.link import Link
 from .edomain import Edomain
 from .host import Host
 from .monitoring import snapshot_sn
-from .service_node import ServiceNode
 
 
 @dataclass

@@ -118,8 +118,8 @@ _DROP = Decision.drop()
 class TerminusOffloadEngine:
     """Holds every service's offload program with isolation enforced."""
 
-    def __init__(self, quota: OffloadQuota = OffloadQuota()) -> None:
-        self.quota = quota
+    def __init__(self, quota: Optional[OffloadQuota] = None) -> None:
+        self.quota = quota if quota is not None else OffloadQuota()
         self._programs: dict[int, OffloadProgram] = {}
 
     # -- programming (service-facing API) ----------------------------------

@@ -42,9 +42,9 @@ burst of one. Stage by stage:
    :meth:`_punt_batch`, the only place that consults a circuit breaker,
    enforces the slow-path deadline, bills invocation latency and
    dispatches to a degradation mode. Barriers punt strictly one at a
-   time, each with a fresh header (services may retain or mutate what
-   they are handed), its verdict applied before the next packet is
-   looked at.
+   time, each verdict applied before the next packet is looked at. A
+   punt hands the service the decoded header itself: headers are
+   immutable values, so a service may keep one but never edit it.
 6. **Egress.** Every outgoing packet — decision targets, verdict emits,
    offload forwards, degraded forwards — leaves through
    :meth:`send_gather`, the only place that seals a header
@@ -142,10 +142,7 @@ def _san_check_header_wire(header: ILPHeader, wire: bytes) -> None:
     drifted from the header object) before the bytes are sealed for a peer.
     """
     fresh = ILPHeader(
-        service_id=header.service_id,
-        connection_id=header.connection_id,
-        flags=header.flags,
-        tlvs=dict(header.tlvs),
+        header.service_id, header.connection_id, header.flags, header.tlvs
     ).encode()
     if fresh != wire:
         _san.fail(
@@ -560,8 +557,7 @@ class PipeTerminus:
     def _replay(self, row: _Row, packets: list[ILPPacket], now: float) -> None:
         """Feed a group's packets back through :meth:`_decide`, one by one.
 
-        Each becomes a group of one sharing the row's decoded header (it
-        is pristine: punts always get a fresh decode).
+        Each becomes a group of one sharing the row's decoded header.
         """
         peer, plain, header, _run, key = row
         for packet in packets:
@@ -669,10 +665,7 @@ class PipeTerminus:
                 continue
             seen_keys.add(key)
             plan.append((_COLD_LEAD, offloaded))
-            # Fresh header for the punt: services may retain or mutate
-            # what they are handed; the row header must stay pristine for
-            # the drain egress.
-            leads.append((ILPHeader.decode(plain), run[0]))
+            leads.append((header, run[0]))
             if rec:
                 punt_spans.append(
                     recorder.begin_span(
@@ -740,9 +733,9 @@ class PipeTerminus:
         """Queue one decision's egress for a flow's payloads on the gather.
 
         One encode and one ``qos_src`` extraction serve every target
-        without TLV rewrites; a target that rewrites gets a header copy
-        (whose encode memo the rewrite invalidates) and re-extracts from
-        it. Multi-target fan-out transmits packet-major, right away, so
+        without TLV rewrites; a target that rewrites gets its own header
+        (one :meth:`~repro.core.ilp.ILPHeader.with_tlvs`) and re-extracts
+        from it. Multi-target fan-out transmits packet-major, right away, so
         emission order — and therefore each egress context's nonce
         sequence — is what bursts of one would produce.
         """
@@ -754,9 +747,7 @@ class PipeTerminus:
         plans: list[tuple[str, bytes, Optional[str]]] = []
         for target in decision.targets:
             if target.tlv_updates:
-                out = header.copy()
-                for tlv_type, value in target.tlv_updates:
-                    out.tlvs[tlv_type] = value
+                out = header.with_tlvs(dict(target.tlv_updates))
                 plans.append(
                     (target.peer, out.encode(), out.get_str(TLV.SRC_HOST))
                 )
@@ -795,15 +786,17 @@ class PipeTerminus:
         Control and teardown packets always take the slow path: the
         service must see LAST to tear down its state and invalidate cache
         entries (a fast-path hit would hide it). Each punt is a batch of
-        one with a fresh header, its verdict applied before the next.
+        one, its verdict applied before the next. The run shares one
+        plaintext, decoded once; if it is malformed, every packet of the
+        run is a malformed drop.
         """
+        try:
+            header = ILPHeader.decode(plain)
+        except ILPError:
+            self.stats.drops_malformed += len(run)
+            return
         recorder = self.recorder
         for packet in run:
-            try:
-                header = ILPHeader.decode(plain)
-            except ILPError:
-                self.stats.drops_malformed += 1
-                continue
             span = recorder.begin_span(
                 "terminus.punt",
                 service=header.service_id,

@@ -75,7 +75,6 @@ class ImposedChain(ServiceModule):
             # its data goes so the hops behind this one tear down too.
             self.ctx.node.cache.invalidate_connection(header.service_id, header.connection_id)
         key = CacheKey(src, header.service_id, header.connection_id)
-        before = dict(header.tlvs)
         current: Optional[ILPHeader] = header
         for module in self.chain:
             current = module.impose(current, packet.payload, inbound)
@@ -91,7 +90,7 @@ class ImposedChain(ServiceModule):
             target = self.next_hop
         verdict = Verdict.forward(target, current, packet.payload)
         if target and not barrier:
-            updates = tuple((t, v) for t, v in current.tlvs.items() if before.get(t) != v)
+            updates = tuple((t, v) for t, v in current.tlvs.items() if header.tlvs.get(t) != v)
             forward = Decision(Action.FORWARD, (ForwardTarget(target, updates),))
             verdict.installs.append((key, forward))
         return verdict

@@ -12,7 +12,7 @@ because coverage is per-region independent once rates are public).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .rates import RateCard, RateError

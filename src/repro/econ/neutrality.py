@@ -8,7 +8,7 @@ service decisions against those rules and reports violations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .rates import Invoice, RateCard

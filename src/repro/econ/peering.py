@@ -10,8 +10,7 @@ content providers paying their IESPs) flow through a separate account set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 class PeeringError(Exception):

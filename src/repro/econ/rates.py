@@ -11,9 +11,7 @@ and the auditor (:mod:`repro.econ.neutrality`) verifies observed invoices.
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass, field
-from typing import Optional
 
 
 class RateError(Exception):

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac as hmac_mod
-from dataclasses import dataclass
 
 from ..core import crypto
 

@@ -8,8 +8,7 @@ per-pattern hit statistics so operators can audit rule effectiveness.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 
 @dataclass

@@ -9,7 +9,7 @@ serialization delay, with optional random loss.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Optional
 
 from .engine import Simulator

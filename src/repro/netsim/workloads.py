@@ -9,7 +9,7 @@ given a seed and drive any callable sink on the simulator clock.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Optional
 
 from .engine import Simulator

@@ -13,7 +13,6 @@ shapes of federation; this module canonicalizes them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .core.federation import InterEdge
 from .core.host import Host

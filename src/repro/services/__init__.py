@@ -16,7 +16,7 @@ from .cluster import (
     register_cluster_prefix,
     send_cross_cluster,
 )
-from .common import deliver_toward, next_peer_toward, resolve_dest_sn
+from .common import deliver_toward, route_toward
 from .ddos import (
     DDoSProtectionService,
     ProtectionPolicy,
@@ -153,7 +153,6 @@ __all__ = [
     "make_puzzle_challenge",
     "make_setup_packets",
     "mix_key",
-    "next_peer_toward",
     "offer_object",
     "produce",
     "publish",
@@ -165,7 +164,7 @@ __all__ = [
     "reply_via_relay",
     "request_qos",
     "request_replay",
-    "resolve_dest_sn",
+    "route_toward",
     "send_binding_update",
     "send_cross_cluster",
     "send_via_mixnet",

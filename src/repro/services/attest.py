@@ -93,8 +93,8 @@ class AttestationService(ServiceModule):
             service_id=self.SERVICE_ID,
             connection_id=header.connection_id,
             flags=Flags.CONTROL,
+            tlvs={TLV.SERVICE_OPTS: OP_QUOTE},
         )
-        reply.tlvs[TLV.SERVICE_OPTS] = OP_QUOTE
         return Verdict(emits=[Emit(client, reply, make_payload(blob))])
 
     def handle_packet(self, header: ILPHeader, packet: Any) -> Verdict:

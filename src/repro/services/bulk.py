@@ -17,12 +17,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.ilp import ILPHeader, TLV
 from ..core.packet import make_payload
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
 
 OP_OFFER = b"offer"  # publisher -> SN: one fragment of an offered object
@@ -146,12 +147,14 @@ class BulkDeliveryService(ServiceModule):
 
     def _reply(self, obj: str, requester: str, op: bytes, data: bytes, index: Optional[int] = None) -> Verdict:
         assert self.ctx is not None
-        out = ILPHeader(service_id=self.SERVICE_ID, connection_id=0)
-        out.set_str(TLV_OBJECT, obj)
-        out.tlvs[TLV.SERVICE_OPTS] = op
-        out.set_str(TLV.DEST_ADDR, requester)
+        tlvs = {
+            TLV_OBJECT: obj.encode(),
+            TLV.SERVICE_OPTS: op,
+            TLV.DEST_ADDR: requester.encode(),
+        }
         if index is not None:
-            out.set_u64(TLV_CHUNK_INDEX, index)
+            tlvs[TLV_CHUNK_INDEX] = struct.pack(">Q", index)
+        out = ILPHeader(service_id=self.SERVICE_ID, connection_id=0, tlvs=tlvs)
         return deliver_toward(self.ctx, out, make_payload(data))
 
     def _serve_manifest(

@@ -25,10 +25,9 @@ is disabled for the connection.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.ilp import Flags, ILPHeader, TLV
+from ..core.ilp import ILPHeader, TLV
 from ..core.packet import Payload, make_payload
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
@@ -147,8 +146,8 @@ class CachingBundleService(ServiceModule):
         response = ILPHeader(
             service_id=self.SERVICE_ID,
             connection_id=header.connection_id,
+            tlvs={TLV.DEST_ADDR: requester.encode()},
         )
-        response.set_str(TLV.DEST_ADDR, requester)
         payload = make_payload(make_response(url, data))
         local = self.ctx.peer_for_host(requester)
         if local is not None:

@@ -13,13 +13,10 @@ service-node directory, keyed ``cluster:<fabric>:<prefix>``.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.decision_cache import CacheKey, Decision
 from ..core.ilp import ILPHeader, TLV
-from ..core.service_module import ServiceModule, Verdict, WellKnownService
-from .common import deliver_toward
+from ..core.service_module import ServiceModule, Verdict
 
 from ..core.service_module import WellKnownService as _WKS
 SERVICE_ID_CLUSTER = _WKS.CLUSTER_INTERCONNECT
@@ -106,15 +103,14 @@ class ClusterInterconnectService(ServiceModule):
         if route is None:
             return Verdict.drop()
         home_sn, gateway = route
-        out = header.copy()
         if home_sn == self.ctx.node_address:
             # Dest prefix is homed here: deliver to the cluster gateway.
             peer = self.ctx.peer_for_host(gateway)
             if peer is None:
                 return Verdict.drop()
             self.cross_cluster_packets += 1
-            return Verdict.forward(peer, out, packet.payload)
-        out.set_str(TLV.DEST_SN, home_sn)
+            return Verdict.forward(peer, header, packet.payload)
+        out = header.with_tlvs({TLV.DEST_SN: home_sn.encode()})
         next_hop = self.ctx.next_hop_for_sn(home_sn)
         if next_hop is None:
             return Verdict.drop()

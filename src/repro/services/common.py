@@ -15,43 +15,36 @@ from ..core.packet import Payload
 from ..core.service_module import Verdict
 
 
-def resolve_dest_sn(ctx: Any, header: ILPHeader, dest: str) -> Optional[str]:
-    """Destination SN address from the header, else the lookup service.
+def route_toward(ctx: Any, header: ILPHeader) -> tuple[Optional[str], ILPHeader]:
+    """The next ILP peer for a DEST_ADDR-addressed packet, and its header.
 
-    On a lookup hit the DEST_SN TLV is pinned into the header so downstream
-    SNs (and fast-path copies) need not resolve again.
+    The peer is None when the packet is unroutable. The destination SN
+    comes from the DEST_SN TLV, else from the lookup service; on a lookup
+    hit the returned header pins it as DEST_SN, so downstream SNs need not
+    resolve again.
     """
-    dest_sn = header.get_str(TLV.DEST_SN)
-    if dest_sn is not None:
-        return dest_sn
-    control = ctx.control_plane()
-    if control is None:
-        return None
-    record = control.lookup.address_record(dest)
-    if record is None or not record.associated_sns:
-        return None
-    dest_sn = record.associated_sns[0]
-    header.set_str(TLV.DEST_SN, dest_sn)
-    return dest_sn
-
-
-def next_peer_toward(ctx: Any, header: ILPHeader) -> Optional[str]:
-    """The next ILP peer for a DEST_ADDR-addressed packet, or None."""
     dest = header.get_str(TLV.DEST_ADDR)
     if dest is None:
-        return None
+        return None, header
     local = ctx.peer_for_host(dest)
     if local is not None:
-        return local
-    dest_sn = resolve_dest_sn(ctx, header, dest)
-    if dest_sn is None or dest_sn == ctx.node_address:
-        return None
-    return ctx.next_hop_for_sn(dest_sn)
+        return local, header
+    dest_sn = header.get_str(TLV.DEST_SN)
+    if dest_sn is None:
+        control = ctx.control_plane()
+        record = None if control is None else control.lookup.address_record(dest)
+        if record is None or not record.associated_sns:
+            return None, header
+        dest_sn = record.associated_sns[0]
+        header = header.with_tlvs({TLV.DEST_SN: dest_sn.encode()})
+    if dest_sn == ctx.node_address:
+        return None, header
+    return ctx.next_hop_for_sn(dest_sn), header
 
 
 def deliver_toward(ctx: Any, header: ILPHeader, payload: Payload) -> Verdict:
     """Forward toward DEST_ADDR, or drop if unroutable."""
-    peer = next_peer_toward(ctx, header)
+    peer, header = route_toward(ctx, header)
     if peer is None:
         return Verdict.drop()
     return Verdict.forward(peer, header, payload)

@@ -15,13 +15,11 @@ Mechanisms (both standard industry practice):
 from __future__ import annotations
 
 import hashlib
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.ilp import Flags, ILPHeader, TLV
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
-from ..core.packet import Payload
+from ..core.ilp import ILPHeader, TLV
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from ..sched import TokenBucket
 from .common import deliver_toward
 

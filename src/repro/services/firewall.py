@@ -16,7 +16,7 @@ service id), plus optional payload-signature rules for the NGFW.
 from __future__ import annotations
 
 import ipaddress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.ilp import ILPHeader, TLV

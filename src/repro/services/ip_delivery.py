@@ -12,12 +12,12 @@ per Appendix B it recomputes the identical decision in that case.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
 from ..core.decision_cache import CacheKey, Decision
-from ..core.ilp import Flags, ILPHeader, TLV
+from ..core.ilp import Flags, ILPHeader
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
-from .common import next_peer_toward
+from .common import deliver_toward, route_toward
 
 
 class IPDeliveryService(ServiceModule):
@@ -32,26 +32,18 @@ class IPDeliveryService(ServiceModule):
         self.connections_seen = 0
         self.recomputes = 0
 
-    def compute_next_peer(self, header: ILPHeader) -> Optional[str]:
-        """The forwarding decision, recomputable for any packet (§B.2)."""
-        assert self.ctx is not None
-        return next_peer_toward(self.ctx, header)
-
     def handle_packet(self, header: ILPHeader, packet: Any) -> Verdict:
         assert self.ctx is not None
         if header.flags & Flags.LAST:
             self.ctx.invalidate_connection(header.connection_id)
-            peer = self.compute_next_peer(header)
-            if peer is None:
-                return Verdict.drop()
-            return Verdict.forward(peer, header, packet.payload)
+            return deliver_toward(self.ctx, header, packet.payload)
 
         if header.is_first:
             self.connections_seen += 1
         else:
             self.recomputes += 1
 
-        peer = self.compute_next_peer(header)
+        peer, header = route_toward(self.ctx, header)
         if peer is None:
             return Verdict.drop()
         key = CacheKey(

@@ -12,12 +12,11 @@ from __future__ import annotations
 import json
 import random
 import zlib
-from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.ilp import ILPHeader, TLV
-from ..core.packet import Payload, make_payload
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
+from ..core.packet import make_payload
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from ..libs.cryptolib import CryptoLibrary
 from .common import deliver_toward
 
@@ -92,20 +91,18 @@ class MixnetService(ServiceModule):
             return deliver_toward(self.ctx, header, packet.payload)
 
         self.peeled += 1
-        out = ILPHeader(
-            service_id=self.SERVICE_ID, connection_id=header.connection_id
-        )
         if "next" in peeled:
-            out.set_str(TLV.DEST_SN, peeled["next"])
-            out.set_str(TLV.DEST_ADDR, peeled["next"])
+            hop = peeled["next"].encode()
+            tlvs = {TLV.DEST_SN: hop, TLV.DEST_ADDR: hop}
             payload = make_payload(bytes.fromhex(peeled["blob"]))
         elif "deliver" in peeled:
-            out.set_str(TLV.DEST_ADDR, peeled["deliver"])
+            tlvs = {TLV.DEST_ADDR: peeled["deliver"].encode()}
             payload = make_payload(bytes.fromhex(peeled["data"]))
             self.delivered += 1
         else:
             return Verdict.drop()
 
+        out = ILPHeader(self.SERVICE_ID, header.connection_id, tlvs=tlvs)
         verdict = deliver_toward(self.ctx, out, payload)
         if verdict.emits and self.MIX_DELAY > 0:
             # Defer the emission by a mixing delay: re-emit via the context

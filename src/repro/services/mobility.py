@@ -20,9 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from ..core.decision_cache import CacheKey, Decision
-from ..core.ilp import Flags, ILPHeader, TLV
-from ..core.service_module import ServiceModule, Verdict, WellKnownService
+from ..core.ilp import ILPHeader, TLV
+from ..core.service_module import ServiceModule, Verdict
 from .common import deliver_toward
 
 from ..core.service_module import WellKnownService as _WKS
@@ -124,9 +123,12 @@ class MobilityService(ServiceModule):
         binding = self.resolve(stable)
         if binding is None:
             return Verdict.drop()
-        out = header.copy()
-        out.set_str(TLV.DEST_ADDR, binding.address)
-        out.set_str(TLV.DEST_SN, binding.sn_address)
+        out = header.with_tlvs(
+            {
+                TLV.DEST_ADDR: binding.address.encode(),
+                TLV.DEST_SN: binding.sn_address.encode(),
+            }
+        )
         verdict = deliver_toward(self.ctx, out, packet.payload)
         if verdict.emits:
             self.reroutes += 1

@@ -11,12 +11,12 @@ cursors, and replicates appends to a standby SN for failover (§3.3).
 from __future__ import annotations
 
 import hashlib
-import json
+import struct
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from ..core.ilp import Flags, ILPHeader, TLV
-from ..core.packet import Payload, make_payload
+from ..core.ilp import ILPHeader, TLV
+from ..core.packet import make_payload
 from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
 
@@ -93,9 +93,7 @@ class MessageQueueService(ServiceModule):
         control.lookup.register_service_node("msgqueue", self.ctx.node_address)
 
     def _forward_to_home(self, header: ILPHeader, packet: Any, home: str) -> Verdict:
-        out = header.copy()
-        out.set_str(TLV.DEST_SN, home)
-        out.set_str(TLV.DEST_ADDR, home)
+        out = header.with_tlvs({TLV.DEST_SN: home.encode(), TLV.DEST_ADDR: home.encode()})
         assert self.ctx is not None
         return deliver_toward(self.ctx, out, packet.payload)
 
@@ -133,10 +131,7 @@ class MessageQueueService(ServiceModule):
             return Verdict.drop()
         home = self._home_for(queue)
         if home != self.ctx.node_address:
-            out = header.copy()
-            out.set_str(TLV.DEST_SN, home)
-            out.set_str(TLV.DEST_ADDR, home)
-            return deliver_toward(self.ctx, out, packet.payload)
+            return self._forward_to_home(header, packet, home)
         if op == OP_SUBSCRIBE:
             state = self.queues.setdefault(queue, QueueState(queue))
             state.cursors.setdefault(consumer, 0)
@@ -152,13 +147,17 @@ class MessageQueueService(ServiceModule):
         verdict = Verdict(dropped=False)
         # Replicate to standby before delivering (§3.3 standby replication).
         if self.standby_sn is not None and self.standby_sn != self.ctx.node_address:
+            standby = self.standby_sn.encode()
             rep = ILPHeader(
-                service_id=self.SERVICE_ID, connection_id=header.connection_id
+                service_id=self.SERVICE_ID,
+                connection_id=header.connection_id,
+                tlvs={
+                    TLV_QUEUE: queue.encode(),
+                    TLV.SERVICE_OPTS: OP_REPLICATE,
+                    TLV.DEST_SN: standby,
+                    TLV.DEST_ADDR: standby,
+                },
             )
-            rep.set_str(TLV_QUEUE, queue)
-            rep.tlvs[TLV.SERVICE_OPTS] = OP_REPLICATE
-            rep.set_str(TLV.DEST_SN, self.standby_sn)
-            rep.set_str(TLV.DEST_ADDR, self.standby_sn)
             rep_verdict = deliver_toward(self.ctx, rep, packet.payload)
             verdict.emits.extend(rep_verdict.emits)
         for consumer in list(state.cursors):
@@ -219,11 +218,16 @@ class MessageQueueService(ServiceModule):
     def _delivery_emits(self, queue: str, consumer: str, offset: int) -> list[Emit]:
         assert self.ctx is not None
         state = self.queues[queue]
-        out = ILPHeader(service_id=self.SERVICE_ID, connection_id=0)
-        out.set_str(TLV_QUEUE, queue)
-        out.tlvs[TLV.SERVICE_OPTS] = OP_DELIVER
-        out.set_u64(TLV_OFFSET, offset)
-        out.set_str(TLV.DEST_ADDR, consumer)
+        out = ILPHeader(
+            service_id=self.SERVICE_ID,
+            connection_id=0,
+            tlvs={
+                TLV_QUEUE: queue.encode(),
+                TLV.SERVICE_OPTS: OP_DELIVER,
+                TLV_OFFSET: struct.pack(">Q", offset),
+                TLV.DEST_ADDR: consumer.encode(),
+            },
+        )
         verdict = deliver_toward(self.ctx, out, make_payload(state.log[offset]))
         return verdict.emits
 

@@ -25,6 +25,7 @@ for stateful services (§3.3).
 
 from __future__ import annotations
 
+import struct
 from collections import deque
 from typing import Any, Optional
 
@@ -38,6 +39,8 @@ TLV_DEST_EDOMAIN = TLV.SERVICE_PRIVATE + 1
 
 STAGE_INTRA = b"intra"
 STAGE_INTER = b"inter"
+#: ``with_tlvs`` updates that strip the staging TLVs before host delivery.
+_UNSTAGED = {TLV_STAGE: None, TLV_DEST_EDOMAIN: None}
 
 # Control verbs (in SERVICE_OPTS).
 OP_JOIN = b"join"
@@ -82,9 +85,11 @@ class MultipointService(ServiceModule):
             service_id=self.SERVICE_ID,
             connection_id=header.connection_id,
             flags=Flags.CONTROL,
+            tlvs={
+                TLV.TOPIC: group.encode(),
+                TLV.SERVICE_OPTS: OP_ACK if ok else OP_DENIED,
+            },
         )
-        ack.set_str(TLV.TOPIC, group)
-        ack.tlvs[TLV.SERVICE_OPTS] = OP_ACK if ok else OP_DENIED
         return Verdict(emits=[Emit(host, ack, Payload(l4=None))])
 
     def _handle_replay(self, header: ILPHeader, group: str, host: str) -> Verdict:
@@ -138,9 +143,7 @@ class MultipointService(ServiceModule):
                 return Verdict.drop()
             return Verdict.forward(peer, header, packet.payload)
         # We are the entry SN of the destination edomain: expand.
-        entry_header = header.copy()
-        del entry_header.tlvs[TLV_STAGE]
-        entry_header.tlvs.pop(TLV_DEST_EDOMAIN, None)
+        entry_header = header.with_tlvs(_UNSTAGED)
         if self.DELIVER_ALL:
             verdict = self._deliver_local(entry_header, packet, group, exclude=None)
             verdict.emits.extend(
@@ -162,10 +165,7 @@ class MultipointService(ServiceModule):
         for host in sorted(members):
             if host == exclude:
                 continue
-            out = header.copy()
-            out.tlvs.pop(TLV_STAGE, None)
-            out.tlvs.pop(TLV_DEST_EDOMAIN, None)
-            emits.append(Emit(host, out, packet.payload))
+            emits.append(Emit(host, header.with_tlvs(_UNSTAGED), packet.payload))
         return Verdict(emits=emits)
 
     def _intra_emits(
@@ -180,9 +180,7 @@ class MultipointService(ServiceModule):
             peer = self.ctx.next_hop_for_sn(sn_addr)
             if peer is None:
                 continue
-            out = header.copy()
-            out.tlvs[TLV_STAGE] = STAGE_INTRA
-            out.tlvs.pop(TLV_DEST_EDOMAIN, None)
+            out = header.with_tlvs({TLV_STAGE: STAGE_INTRA, TLV_DEST_EDOMAIN: None})
             emits.append(Emit(peer, out, packet.payload))
         return emits
 
@@ -196,9 +194,9 @@ class MultipointService(ServiceModule):
             peer = self.ctx.node.border_peer_for(edomain)
             if peer is None:
                 continue
-            out = header.copy()
-            out.tlvs[TLV_STAGE] = STAGE_INTER
-            out.set_str(TLV_DEST_EDOMAIN, edomain)
+            out = header.with_tlvs(
+                {TLV_STAGE: STAGE_INTER, TLV_DEST_EDOMAIN: edomain.encode()}
+            )
             emits.append(Emit(peer, out, packet.payload))
         return emits
 
@@ -224,9 +222,7 @@ class MultipointService(ServiceModule):
         key = self._group_key(group)
         local = sorted(host for host in agent.members_of(key) if host != exclude)
         if local:
-            out = header.copy()
-            out.tlvs.pop(TLV_STAGE, None)
-            out.tlvs.pop(TLV_DEST_EDOMAIN, None)
+            out = header.with_tlvs(_UNSTAGED)
             return Verdict(emits=[Emit(local[0], out, packet.payload)])
         member_sns = sorted(
             sn for sn in agent.member_sns_in_edomain(key)
@@ -235,8 +231,7 @@ class MultipointService(ServiceModule):
         if member_sns:
             peer = self.ctx.next_hop_for_sn(member_sns[0])
             if peer is not None:
-                out = header.copy()
-                out.tlvs[TLV_STAGE] = STAGE_INTRA
+                out = header.with_tlvs({TLV_STAGE: STAGE_INTRA})
                 return Verdict(emits=[Emit(peer, out, packet.payload)])
         if local_edomain_only:
             return Verdict.drop()
@@ -244,9 +239,9 @@ class MultipointService(ServiceModule):
         if edomains:
             peer = self.ctx.node.border_peer_for(edomains[0])
             if peer is not None:
-                out = header.copy()
-                out.tlvs[TLV_STAGE] = STAGE_INTER
-                out.set_str(TLV_DEST_EDOMAIN, edomains[0])
+                out = header.with_tlvs(
+                    {TLV_STAGE: STAGE_INTER, TLV_DEST_EDOMAIN: edomains[0].encode()}
+                )
                 return Verdict(emits=[Emit(peer, out, packet.payload)])
         return Verdict.drop()
 
@@ -288,9 +283,7 @@ class AnycastService(MultipointService):
         )
         if not members:
             return Verdict.drop()
-        out = header.copy()
-        out.tlvs.pop(TLV_STAGE, None)
-        out.tlvs.pop(TLV_DEST_EDOMAIN, None)
+        out = header.with_tlvs(_UNSTAGED)
         return Verdict(emits=[Emit(members[0], out, packet.payload)])
 
 
@@ -328,9 +321,8 @@ class PubSubService(MultipointService):
             out = ILPHeader(
                 service_id=self.SERVICE_ID,
                 connection_id=header.connection_id,
+                tlvs={TLV.TOPIC: group.encode(), TLV.SEQUENCE: struct.pack(">Q", i)},
             )
-            out.set_str(TLV.TOPIC, group)
-            out.set_u64(TLV.SEQUENCE, i)
             peer = self.ctx.peer_for_host(host)
             target = peer if peer is not None else host
             emits.append(Emit(target, out, make_payload(message)))

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from ..core.ilp import ILPHeader, TLV
-from ..core.packet import Payload, make_payload
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
+from ..core.packet import Payload
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
 
 OP_QUERY = b"query"
@@ -52,10 +52,10 @@ class ODNSProxyService(ServiceModule):
                 # Not our mapping: we are a relay SN on the answer's path.
                 return deliver_toward(self.ctx, header, packet.payload)
             out = ILPHeader(
-                service_id=self.SERVICE_ID, connection_id=header.connection_id
+                service_id=self.SERVICE_ID,
+                connection_id=header.connection_id,
+                tlvs={TLV.SERVICE_OPTS: OP_ANSWER, TLV.DEST_ADDR: client.encode()},
             )
-            out.tlvs[TLV.SERVICE_OPTS] = OP_ANSWER
-            out.set_str(TLV.DEST_ADDR, client)
             self.answers_returned += 1
             return deliver_toward(self.ctx, out, packet.payload)
 
@@ -69,10 +69,13 @@ class ODNSProxyService(ServiceModule):
             # the resolver's own SN: plain delivery toward the resolver.
             return deliver_toward(self.ctx, header, packet.payload)
         self._pending[header.connection_id] = client
-        out = header.copy()
-        out.tlvs.pop(TLV.SRC_HOST, None)  # the point of oDNS
-        out.set_str(TLV.RETURN_PATH, self.ctx.node_address)
-        out.tlvs[TLV.SERVICE_OPTS] = OP_QUERY
+        out = header.with_tlvs(
+            {
+                TLV.SRC_HOST: None,  # the point of oDNS
+                TLV.RETURN_PATH: self.ctx.node_address.encode(),
+                TLV.SERVICE_OPTS: OP_QUERY,
+            }
+        )
         self.queries_proxied += 1
         return deliver_toward(self.ctx, out, packet.payload)
 

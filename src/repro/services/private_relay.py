@@ -17,11 +17,10 @@ connection-id mappings held at each relay.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, Optional
 
 from ..core.ilp import ILPHeader, TLV
-from ..core.packet import Payload, make_payload
+from ..core.packet import make_payload
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from ..libs.cryptolib import CryptoLibrary
 from .common import deliver_toward
@@ -108,13 +107,17 @@ class PrivateRelayService(ServiceModule):
             if client is None or self.ctx.peer_for_host(client) is None:
                 return Verdict.drop()
             self._ingress_clients[header.connection_id] = client
+            egress = peeled["egress"].encode()
             out = ILPHeader(
-                service_id=self.SERVICE_ID, connection_id=header.connection_id
+                service_id=self.SERVICE_ID,
+                connection_id=header.connection_id,
+                tlvs={
+                    TLV.SERVICE_OPTS: OP_OUT,
+                    TLV.DEST_SN: egress,
+                    TLV.DEST_ADDR: egress,
+                    TLV.RETURN_PATH: self.ctx.node_address.encode(),
+                },
             )
-            out.tlvs[TLV.SERVICE_OPTS] = OP_OUT
-            out.set_str(TLV.DEST_SN, peeled["egress"])
-            out.set_str(TLV.DEST_ADDR, peeled["egress"])
-            out.set_str(TLV.RETURN_PATH, self.ctx.node_address)
             self.relayed_out += 1
             return deliver_toward(
                 self.ctx, out, make_payload(bytes.fromhex(peeled["blob"]))
@@ -125,13 +128,13 @@ class PrivateRelayService(ServiceModule):
             if ingress is None:
                 return Verdict.drop()
             self._egress_ingress[header.connection_id] = ingress
-            out = ILPHeader(
-                service_id=self.SERVICE_ID, connection_id=header.connection_id
-            )
-            out.tlvs[TLV.SERVICE_OPTS] = OP_OUT
-            out.set_str(TLV.DEST_ADDR, peeled["dest"])
             # Note: no SRC_HOST, no RETURN_PATH — the destination sees only
             # the egress SN.
+            out = ILPHeader(
+                service_id=self.SERVICE_ID,
+                connection_id=header.connection_id,
+                tlvs={TLV.SERVICE_OPTS: OP_OUT, TLV.DEST_ADDR: peeled["dest"].encode()},
+            )
             self.relayed_out += 1
             return deliver_toward(
                 self.ctx, out, make_payload(bytes.fromhex(peeled["data"]))
@@ -144,17 +147,21 @@ class PrivateRelayService(ServiceModule):
         conn_id = header.connection_id
         client = self._ingress_clients.get(conn_id)
         if client is not None:  # ingress role: last hop to the client
-            out = ILPHeader(service_id=self.SERVICE_ID, connection_id=conn_id)
-            out.tlvs[TLV.SERVICE_OPTS] = OP_BACK
-            out.set_str(TLV.DEST_ADDR, client)
+            out = ILPHeader(
+                service_id=self.SERVICE_ID,
+                connection_id=conn_id,
+                tlvs={TLV.SERVICE_OPTS: OP_BACK, TLV.DEST_ADDR: client.encode()},
+            )
             self.relayed_back += 1
             return deliver_toward(self.ctx, out, packet.payload)
         ingress = self._egress_ingress.get(conn_id)
         if ingress is not None:  # egress role: send back toward ingress
-            out = ILPHeader(service_id=self.SERVICE_ID, connection_id=conn_id)
-            out.tlvs[TLV.SERVICE_OPTS] = OP_BACK
-            out.set_str(TLV.DEST_SN, ingress)
-            out.set_str(TLV.DEST_ADDR, ingress)
+            back = ingress.encode()
+            out = ILPHeader(
+                service_id=self.SERVICE_ID,
+                connection_id=conn_id,
+                tlvs={TLV.SERVICE_OPTS: OP_BACK, TLV.DEST_SN: back, TLV.DEST_ADDR: back},
+            )
             self.relayed_back += 1
             return deliver_toward(self.ctx, out, packet.payload)
         return deliver_toward(self.ctx, header, packet.payload)

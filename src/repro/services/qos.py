@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import ipaddress
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from ..core.ilp import Flags, ILPHeader, TLV
 from ..core.packet import ILPPacket, Payload
 from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
-from ..sched import PriorityScheduler, TokenBucket
+from ..sched import PriorityScheduler
 
 OP_CONFIGURE = b"configure"
 OP_CLEAR = b"clear"
@@ -180,8 +180,8 @@ class LastHopQoSService(ServiceModule):
             service_id=self.SERVICE_ID,
             connection_id=header.connection_id,
             flags=Flags.CONTROL,
+            tlvs={TLV.SERVICE_OPTS: OP_ACK},
         )
-        ack.tlvs[TLV.SERVICE_OPTS] = OP_ACK
         return Verdict(emits=[Emit(host, ack, Payload(l4=None))])
 
     def handle_packet(self, header: ILPHeader, packet: Any) -> Verdict:

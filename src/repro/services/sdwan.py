@@ -19,7 +19,7 @@ from ..core.decision_cache import CacheKey, Decision
 from ..core.ilp import Flags, ILPHeader, TLV
 from ..core.packet import Payload
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
-from .common import next_peer_toward
+from .common import route_toward
 
 
 @dataclass
@@ -116,7 +116,7 @@ class SDWANService(ServiceModule):
             self.path_decisions += 1
         else:
             # No SD-WAN policy for this site: ordinary delivery.
-            peer = next_peer_toward(self.ctx, header)
+            peer, header = route_toward(self.ctx, header)
         if peer is None:
             return Verdict.drop()
         key = CacheKey(
@@ -161,6 +161,4 @@ class ImposedSDWAN:
             return header
         # Steer by rewriting the destination SN to the chosen overlay hop;
         # that hop's delivery service completes the path.
-        out = header.copy()
-        out.set_str(TLV.DEST_SN, via)
-        return out
+        return header.with_tlvs({TLV.DEST_SN: via.encode()})

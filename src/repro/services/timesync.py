@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+import struct
+from dataclasses import dataclass
 from typing import Any, Optional
 
 from ..core.ilp import ILPHeader, TLV
 from ..core.packet import Payload
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
-from .common import deliver_toward, next_peer_toward
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
+from .common import deliver_toward
 
 
 @dataclass
@@ -75,8 +76,8 @@ class TimeOrderedService(ServiceModule):
         stamp = header.get_f64(TLV.TIMESTAMP)
         if stamp is None:
             # Sender-side SN: stamp with our GPS clock and forward.
-            out = header.copy()
-            out.set_f64(TLV.TIMESTAMP, self.clock.read(self.ctx.now()))
+            stamp = self.clock.read(self.ctx.now())
+            out = header.with_tlvs({TLV.TIMESTAMP: struct.pack(">d", stamp)})
             self.stamped += 1
             return deliver_toward(self.ctx, out, packet.payload)
         if self.ctx.peer_for_host(dest) is None:

@@ -13,11 +13,11 @@ the §3.2 second invocation mode applied to a bundle option.
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any
 
-from ..core.ilp import Flags, ILPHeader, TLV
-from ..core.packet import Payload, make_payload
-from ..core.service_module import Emit, ServiceModule, Verdict, WellKnownService
+from ..core.ilp import ILPHeader, TLV
+from ..core.packet import make_payload
+from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
 
 OP_SET_PROFILE = b"set-profile"

@@ -18,9 +18,8 @@ from __future__ import annotations
 import hashlib
 import hmac as hmac_mod
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
-from ..core import crypto
 from ..core.ilp import ILPHeader, TLV
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
 from .common import deliver_toward
@@ -100,17 +99,20 @@ class VPNService(ServiceModule):
         ):
             # Authenticated: rewrite toward the inner host.
             self.admitted += 1
-            out = header.copy()
-            out.set_str(TLV.DEST_ADDR, endpoint.inner_host)
-            out.tlvs.pop(TLV.DEST_SN, None)
+            out = header.with_tlvs(
+                {TLV.DEST_ADDR: endpoint.inner_host.encode(), TLV.DEST_SN: None}
+            )
             return deliver_toward(self.ctx, out, packet.payload)
         # Unauthenticated: redirect to the authenticator.
         self.redirected += 1
-        out = header.copy()
-        out.set_str(TLV.DEST_ADDR, endpoint.authenticator)
-        out.tlvs.pop(TLV.DEST_SN, None)
-        out.tlvs[TLV.SERVICE_OPTS] = OP_REDIRECTED
-        out.set_str(TLV.RETURN_PATH, dest)  # so the authenticator knows why
+        out = header.with_tlvs(
+            {
+                TLV.DEST_ADDR: endpoint.authenticator.encode(),
+                TLV.DEST_SN: None,
+                TLV.SERVICE_OPTS: OP_REDIRECTED,
+                TLV.RETURN_PATH: dest.encode(),  # so the authenticator knows why
+            }
+        )
         return deliver_toward(self.ctx, out, packet.payload)
 
 

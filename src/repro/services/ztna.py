@@ -28,7 +28,7 @@ from typing import Any, Optional
 from ..core.decision_cache import Action, CacheKey, Decision, ForwardTarget
 from ..core.ilp import Flags, ILPHeader, TLV
 from ..core.service_module import ServiceModule, Verdict, WellKnownService
-from .common import deliver_toward, next_peer_toward
+from .common import deliver_toward, route_toward
 
 #: Marks traffic already admitted by the enforcement SN. Only honored when
 #: the packet arrived over an SN pipe (never directly from a host), so a
@@ -183,7 +183,7 @@ class ZTNAService(ServiceModule):
             self.denials += 1
             self._pending.pop(conn_id, None)
             return Verdict.drop()
-        peer = next_peer_toward(self.ctx, header)
+        peer, header = route_toward(self.ctx, header)
         if peer is None:
             self._pending.pop(conn_id, None)
             return Verdict.drop()
@@ -209,11 +209,16 @@ class ZTNAService(ServiceModule):
         )
         # Recompute the peer in case topology moved since admission.
         assert self.ctx is not None
-        peer = next_peer_toward(self.ctx, header) or admitted.peer
-        out = header.copy()
-        for tlv in (TLV.IDENTITY, TLV.SETUP_FRAG, TLV.SEQUENCE):
-            out.tlvs.pop(tlv, None)
-        out.set_str(TLV_ADMITTED, self.ctx.node_address)
+        peer, header = route_toward(self.ctx, header)
+        peer = peer or admitted.peer
+        out = header.with_tlvs(
+            {
+                TLV.IDENTITY: None,
+                TLV.SETUP_FRAG: None,
+                TLV.SEQUENCE: None,
+                TLV_ADMITTED: self.ctx.node_address.encode(),
+            }
+        )
         verdict = Verdict.forward(peer, out, packet.payload)
         # The fast-path copy must carry the admission mark too.
         target = ForwardTarget(

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 from .tunnel import (
     DEFAULT_KEEPALIVE_INTERVAL,

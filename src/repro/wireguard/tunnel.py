@@ -18,7 +18,7 @@ sealed with the repository's AES-GCM primitive, not ChaCha20-Poly1305.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..core import crypto

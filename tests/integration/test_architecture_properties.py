@@ -3,8 +3,6 @@ resilience (failover), extensibility, and §5 portability — plus the §3.2
 pass-through (operator-imposed) deployment shape.
 """
 
-import pytest
-
 from repro import InterEdge, WellKnownService, sanitize
 from repro.core.ilp import ILPHeader, TLV
 from repro.core.monitoring import snapshot_sn
@@ -13,7 +11,6 @@ from repro.core.packet import ILPPacket, L3Header, make_payload
 from repro.core.service_module import Standardization
 from repro.netsim import Link
 from repro.services import (
-    IPDeliveryService,
     ImposedFirewall,
     ImposedSDWAN,
     NullService,
@@ -284,8 +281,11 @@ class TestPassThrough:
     def test_inbound_to_unknown_host_is_an_egress_drop(self, two_edomain_net):
         net = two_edomain_net
         edge_sn, gateway, _inside = self._enterprise(net)
-        header = ILPHeader(service_id=WellKnownService.IP_DELIVERY, connection_id=9)
-        header.tlvs[TLV.DEST_ADDR] = b"10.10.0.99"  # nobody behind the gateway
+        header = ILPHeader(
+            service_id=WellKnownService.IP_DELIVERY,
+            connection_id=9,
+            tlvs={TLV.DEST_ADDR: b"10.10.0.99"},  # nobody behind the gateway
+        )
         wire = edge_sn.keystore.get(gateway.address).seal(header.encode())
         gateway.handle_frame(
             ILPPacket(

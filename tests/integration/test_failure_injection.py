@@ -6,10 +6,7 @@ transfer over a lossy path with receiver-driven repair, and queue-state
 survival across an SN restart via checkpoint/restore.
 """
 
-import pytest
-
 from repro import WellKnownService
-from repro.netsim import Link
 from repro.services.bulk import BulkReceiver, offer_object
 from repro.services.msgqueue import produce, subscribe
 

@@ -91,7 +91,6 @@ class TestFigure2Pipeline:
 
         a.send(conn, b"slow")  # punts
         net.run(1.0)
-        t_first = net.sim.now  # includes the punt cost; measure arrivals instead
         arrivals = []
         b.rx_tap = lambda frame, link: arrivals.append(net.sim.now)
         base = net.sim.now

@@ -6,8 +6,6 @@ edomain, once toward each member SN inside an edomain, once per member
 host at its SN. We count packets on each pipe class to prove it.
 """
 
-import pytest
-
 from repro import WellKnownService
 from repro.scenarios import metro_federation
 from repro.services.multipoint import join_group, publish, register_sender

@@ -1,7 +1,5 @@
 """Integration: SD-WAN path failover end to end (§5, §3.3 resilience)."""
 
-import pytest
-
 from repro import InterEdge, WellKnownService
 from repro.services import standard_registry
 from repro.services.sdwan import PathMetric

@@ -6,8 +6,6 @@ pub/sub fan-out runs concurrently; the federation monitor verifies zero
 drops, full delivery, and a high steady-state fast-path fraction.
 """
 
-import pytest
-
 from repro import WellKnownService
 from repro.core.monitoring import FederationMonitor
 from repro.core.overload import BreakerState

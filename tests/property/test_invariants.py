@@ -6,7 +6,7 @@ from hypothesis import given, settings
 
 from repro.core import crypto
 from repro.core.decision_cache import CacheKey, Decision, DecisionCache
-from repro.core.ilp import ILPHeader, TLV
+from repro.core.ilp import ILPHeader
 from repro.core.psp import PSPContext, pairwise_secret
 from repro.netsim import Simulator
 from repro.netsim.trace import percentile

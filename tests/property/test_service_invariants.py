@@ -1,7 +1,6 @@
 """Property-based tests on service-layer data structures."""
 
 import hypothesis.strategies as st
-import pytest
 from hypothesis import given, settings
 
 from repro.control.core_store import CoreStore

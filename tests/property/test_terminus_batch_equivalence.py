@@ -47,6 +47,7 @@ drained or replayed, none live after the burst).
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import asdict
 from typing import Any
 
@@ -166,15 +167,12 @@ class _Rig:
     def build_packet(self, spec: dict) -> ILPPacket:
         kind = spec["kind"]
         peer = spec["peer"]
-        header = ILPHeader(
-            service_id=spec["service_id"],
-            connection_id=spec["conn"],
-            flags=spec["flags"],
-        )
+        tlvs = {}
         if spec["src_host"]:
-            header.set_str(TLV.SRC_HOST, "192.168.0.12")
+            tlvs[TLV.SRC_HOST] = b"192.168.0.12"
         if spec["seq"] is not None:
-            header.set_u64(TLV.SEQUENCE, spec["seq"])
+            tlvs[TLV.SEQUENCE] = struct.pack(">Q", spec["seq"])
+        header = ILPHeader(spec["service_id"], spec["conn"], spec["flags"], tlvs)
         plaintext = b"\x01\x02" if kind == "malformed" else header.encode()
         wire = self.tx[peer].seal(plaintext)
         if kind == "badauth":

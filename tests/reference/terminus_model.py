@@ -204,9 +204,8 @@ class ReferenceTerminus:
             self.stats["drops_by_decision"] += 1
             return
         for target in decision.targets:
-            out = header.copy()
-            for tlv_type, value in target.tlv_updates:
-                out.tlvs[tlv_type] = value
+            tlvs = {**header.tlvs, **dict(target.tlv_updates)}
+            out = ILPHeader(header.service_id, header.connection_id, header.flags, tlvs)
             self._transmit(target.peer, out, payload)
 
     def _transmit(self, peer: str, header: ILPHeader, payload: Payload) -> None:

@@ -186,7 +186,6 @@ class TestQuoteReplyWire:
             host=host, verifier=AttestationVerifier(SignatureRegistry())
         )
         client.install()
-        header = ILPHeader(service_id=0, connection_id=1)
-        header.tlvs[TLV.SERVICE_OPTS] = OP_QUOTE
+        header = ILPHeader(service_id=0, connection_id=1, tlvs={TLV.SERVICE_OPTS: OP_QUOTE})
         host.deliver(1, header, make_payload(pickle.dumps({"quote": 1})))
         assert client.results == [False]

@@ -11,13 +11,11 @@ from repro.wireguard import MeshReport, TunnelMesh, WireGuardTunnel
 
 class TestILPBoundaries:
     def test_tlv_max_length_ok_one_over_rejected(self):
-        header = ILPHeader(service_id=1, connection_id=1)
-        header.tlvs[0x90] = b"x" * 0xFFFF
+        header = ILPHeader(service_id=1, connection_id=1, tlvs={0x90: b"x" * 0xFFFF})
         decoded = ILPHeader.decode(header.encode())
         assert len(decoded.tlvs[0x90]) == 0xFFFF
-        header.tlvs[0x90] = b"x" * 0x10000
         with pytest.raises(ILPError):
-            header.encode()
+            header.with_tlvs({0x90: b"x" * 0x10000}).encode()
 
     def test_service_and_connection_id_extremes(self):
         header = ILPHeader(service_id=0xFFFF, connection_id=2**64 - 1)
@@ -26,8 +24,7 @@ class TestILPBoundaries:
         assert decoded.connection_id == 2**64 - 1
 
     def test_empty_tlv_value_roundtrips(self):
-        header = ILPHeader(service_id=1, connection_id=1)
-        header.tlvs[TLV.SERVICE_OPTS] = b""
+        header = ILPHeader(service_id=1, connection_id=1, tlvs={TLV.SERVICE_OPTS: b""})
         decoded = ILPHeader.decode(header.encode())
         assert decoded.tlvs[TLV.SERVICE_OPTS] == b""
 

@@ -10,9 +10,8 @@ from repro.core.discovery import (
 )
 from repro.core.edomain import EdomainError
 from repro.core.federation import FederationError
-from repro.core.service_module import Standardization
 from repro.netsim import Link
-from repro.services import IPDeliveryService, NullService, standard_registry
+from repro.services import NullService, standard_registry
 
 
 class TestEdomain:

@@ -4,12 +4,11 @@ import pytest
 
 from repro.core.host import Host, HostError
 from repro.core.ilp import Flags, ILPHeader, TLV
-from repro.core.ipc import InvocationMode
 from repro.core.packet import make_payload
 from repro.core.service_node import ServiceNode
 from repro.core.service_module import Verdict, WellKnownService
 from repro.netsim import Link, Simulator
-from repro.services import IPDeliveryService, NullService
+from repro.services import NullService
 
 
 _VALID_HEADER = ILPHeader(service_id=1, connection_id=1).encode()

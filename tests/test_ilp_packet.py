@@ -4,6 +4,8 @@ import dataclasses
 import enum
 import importlib
 import inspect
+import struct
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -28,11 +30,17 @@ class TestILPHeader:
         assert decoded.tlvs == {}
 
     def test_roundtrip_with_tlvs(self):
-        header = ILPHeader(service_id=1, connection_id=2, flags=Flags.FIRST)
-        header.set_str(TLV.DEST_ADDR, "192.168.1.5")
-        header.set_u64(TLV.SEQUENCE, 42)
-        header.set_f64(TLV.TIMESTAMP, 3.14)
-        header.tlvs[TLV.SERVICE_OPTS] = b"\x00\x01\x02"
+        header = ILPHeader(
+            service_id=1,
+            connection_id=2,
+            flags=Flags.FIRST,
+            tlvs={
+                TLV.DEST_ADDR: b"192.168.1.5",
+                TLV.SEQUENCE: struct.pack(">Q", 42),
+                TLV.TIMESTAMP: struct.pack(">d", 3.14),
+                TLV.SERVICE_OPTS: b"\x00\x01\x02",
+            },
+        )
         decoded = ILPHeader.decode(header.encode())
         assert decoded.get_str(TLV.DEST_ADDR) == "192.168.1.5"
         assert decoded.get_u64(TLV.SEQUENCE) == 42
@@ -42,31 +50,26 @@ class TestILPHeader:
 
     def test_arbitrary_tlv_content_and_length(self):
         """§4: no limits on header contents beyond MTU."""
-        header = ILPHeader(service_id=1, connection_id=2)
-        header.tlvs[0x90] = bytes(range(256)) * 4
+        header = ILPHeader(service_id=1, connection_id=2, tlvs={0x90: bytes(range(256)) * 4})
         decoded = ILPHeader.decode(header.encode())
         assert decoded.tlvs[0x90] == bytes(range(256)) * 4
 
     def test_headers_vary_per_packet_same_connection(self):
         """§4: services may require different headers per packet."""
         base = ILPHeader(service_id=1, connection_id=99)
-        pkt1 = base.copy()
-        pkt1.set_u64(TLV.SEQUENCE, 1)
-        pkt2 = base.copy()
-        pkt2.tlvs[TLV.SETUP_FRAG] = b"extra-setup"
+        pkt1 = base.with_tlvs({TLV.SEQUENCE: struct.pack(">Q", 1)})
+        pkt2 = base.with_tlvs({TLV.SETUP_FRAG: b"extra-setup"})
         d1 = ILPHeader.decode(pkt1.encode())
         d2 = ILPHeader.decode(pkt2.encode())
         assert d1.connection_id == d2.connection_id == 99
         assert d1.tlvs != d2.tlvs
 
     def test_encoded_size_accurate(self):
-        header = ILPHeader(service_id=1, connection_id=2)
-        header.set_str(TLV.DEST_ADDR, "10.0.0.1")
+        header = ILPHeader(service_id=1, connection_id=2, tlvs={TLV.DEST_ADDR: b"10.0.0.1"})
         assert len(header.encode()) == header.encoded_size
 
     def test_truncated_rejected(self):
-        header = ILPHeader(service_id=1, connection_id=2)
-        header.set_str(TLV.DEST_ADDR, "10.0.0.1")
+        header = ILPHeader(service_id=1, connection_id=2, tlvs={TLV.DEST_ADDR: b"10.0.0.1"})
         raw = header.encode()
         with pytest.raises(ILPError):
             ILPHeader.decode(raw[:-3])
@@ -87,12 +90,37 @@ class TestILPHeader:
         with pytest.raises(ILPError):
             ILPHeader(service_id=0, connection_id=2**64)
 
+    def test_out_of_range_wire_fields_raise_ilp_error(self):
+        """Flags and TLV types are one byte on the wire: anything else is a
+        typed error, never a bare ``struct.error``."""
+        for header in (
+            ILPHeader(service_id=1, connection_id=2, flags=0x100),
+            ILPHeader(service_id=1, connection_id=2, flags=-1),
+            ILPHeader(service_id=1, connection_id=2, tlvs={0x100: b"x"}),
+            ILPHeader(service_id=1, connection_id=2, tlvs={-1: b"x"}),
+        ):
+            with pytest.raises(ILPError):
+                header.encode()
+
     def test_copy_is_deep_for_tlvs(self):
-        header = ILPHeader(service_id=1, connection_id=2)
-        header.set_str(TLV.TOPIC, "news")
-        dup = header.copy()
-        dup.set_str(TLV.TOPIC, "sports")
+        """A rewrite is a new header; the original and its caller's dict
+        are untouched."""
+        tlvs = {TLV.TOPIC: b"news"}
+        header = ILPHeader(service_id=1, connection_id=2, tlvs=tlvs)
+        tlvs[TLV.TOPIC] = b"weather"
+        dup = header.with_tlvs({TLV.TOPIC: b"sports", TLV.SEQUENCE: None})
         assert header.get_str(TLV.TOPIC) == "news"
+        assert dup.get_str(TLV.TOPIC) == "sports"
+        assert replace(header, flags=Flags.LAST).tlvs == header.tlvs
+
+    def test_header_is_immutable(self):
+        header = ILPHeader(service_id=1, connection_id=2, tlvs={TLV.TOPIC: b"news"})
+        wire = header.encode()
+        with pytest.raises(FrozenInstanceError):
+            header.flags = Flags.LAST
+        with pytest.raises(TypeError):
+            header.tlvs[TLV.TOPIC] = b"sports"
+        assert header.encode() == wire
 
     def test_control_flag(self):
         header = ILPHeader(service_id=1, connection_id=2, flags=Flags.CONTROL)
@@ -162,15 +190,12 @@ class TestPacketModel:
 
 class TestWireClassLayout:
     WIRE_MODULES = ("ilp", "packet", "crypto", "psp", "decision_cache", "pipe_terminus")
-    #: Dict-backed by design: ILPHeader's encode() memo lives in __dict__.
-    UNSLOTTED = {"ILPHeader"}
-
     def test_wire_classes_have_fixed_layout_and_two_way_codecs(self):
         """Checked on the imported classes, so it is exact: every class in
         the six wire modules that holds per-instance state (a dataclass, or
         one with its own ``__init__``) declares ``__slots__`` /
         ``slots=True``, and ``encode`` never comes without ``decode``."""
-        unslotted = set()
+        unslotted = []
         codecs = []
         for name in self.WIRE_MODULES:
             module = importlib.import_module(f"repro.core.{name}")
@@ -182,9 +207,9 @@ class TestWireClassLayout:
                 own = vars(cls)
                 stateful = dataclasses.is_dataclass(cls) or "__init__" in own
                 if stateful and "__slots__" not in own:
-                    unslotted.add(cls.__name__)
+                    unslotted.append(cls.__name__)
                 if "encode" in own or "decode" in own:
                     codecs.append(cls)
                     assert "encode" in own and "decode" in own, cls.__name__
-        assert unslotted == self.UNSLOTTED
+        assert unslotted == []
         assert ILPHeader in codecs

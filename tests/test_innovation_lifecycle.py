@@ -1,8 +1,6 @@
 """Tests for the §2.2 innovation path: experimental → standardized →
 required, plus host reassociation."""
 
-import pytest
-
 from repro import InterEdge, WellKnownService
 from repro.core.service_module import Standardization
 from repro.services import NullService, standard_registry

@@ -1,5 +1,7 @@
 """Unit tests for invocation channels and the enclave model."""
 
+from dataclasses import FrozenInstanceError, replace
+
 import pytest
 
 from repro.core.attestation import PCR_ENCLAVE, SoftwareTPM
@@ -200,8 +202,10 @@ class TestDescriptorReturn:
         header, packet = self._punt()
 
         def handler(rx_header, rx_packet):
-            rx_header.tlvs[9] = b"scribble"
-            rx_header.flags = 0x02
+            # A rewrite builds a new header; the one received is a value.
+            replace(rx_header.with_tlvs({9: b"scribble"}), flags=0x02)
+            with pytest.raises(FrozenInstanceError):
+                rx_header.flags = 0x02
             rx_packet.payload.data = b"scribble"
             return Verdict.drop()
 
@@ -215,9 +219,8 @@ class TestDescriptorReturn:
         expected = ILPHeader(1, 5, flags=0x04, tlvs={1: b"10.9.9.9", 2: b"10.7.7.7"})
 
         def handler(rx_header, rx_packet):
-            rx_header.tlvs[2] = b"10.7.7.7"
-            rx_header.flags |= 0x04
-            return _forward(rx_header, rx_packet)
+            out = rx_header.with_tlvs({2: b"10.7.7.7"})
+            return _forward(replace(out, flags=out.flags | 0x04), rx_packet)
 
         _channel, verdict = self._invoke(handler, header, packet)
         emit = verdict.emits[0]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.crypto import CryptoError
-from repro.libs import install_standard_libraries, standard_libraries
+from repro.libs import standard_libraries
 from repro.libs.cryptolib import CryptoLibrary
 from repro.libs.media import MediaError, MediaLibrary, PROFILES
 from repro.libs.regexlib import RegexLibrary

@@ -24,10 +24,7 @@ DROP = Decision.drop()
 
 
 def header(service_id=5, conn=1, flags=0, tlvs=None) -> ILPHeader:
-    h = ILPHeader(service_id=service_id, connection_id=conn, flags=flags)
-    if tlvs:
-        h.tlvs.update(tlvs)
-    return h
+    return ILPHeader(service_id=service_id, connection_id=conn, flags=flags, tlvs=tlvs)
 
 
 class TestMatching:

@@ -16,7 +16,6 @@ import pytest
 
 from repro import sanitize
 from repro.core.decision_cache import (
-    Action,
     CacheError,
     CacheKey,
     Decision,

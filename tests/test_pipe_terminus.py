@@ -6,14 +6,11 @@ from typing import Any
 import pytest
 
 from repro import sanitize
-from repro.core.decision_cache import Action, CacheKey, Decision, DecisionCache, ForwardTarget
-from repro.core.execution_env import ExecutionEnvironment
+from repro.core.decision_cache import Action, CacheKey, Decision, ForwardTarget
 from repro.core.ilp import Flags, ILPHeader, TLV
-from repro.core.ipc import InvocationMode
 from repro.core.packet import ILPPacket, L3Header, make_payload
-from repro.core.pipe_terminus import PipeTerminus
-from repro.core.psp import PSPContext, PeerKeyStore, pairwise_secret
-from repro.core.service_module import Emit, ServiceModule, Verdict
+from repro.core.psp import PSPContext, pairwise_secret
+from repro.core.service_module import ServiceModule, Verdict
 from repro.econ.peering import PeeringLedger
 from repro.netsim import Link, SinkNode, Simulator
 from repro.core.service_node import ServiceNode
@@ -61,9 +58,7 @@ class _Fixture:
         self.node.env.load(self.service)
 
     def packet(self, peer=PEER_A, service_id=42, conn=7, flags=0, tlvs=None, data=b"d"):
-        header = ILPHeader(service_id=service_id, connection_id=conn, flags=flags)
-        if tlvs:
-            header.tlvs.update(tlvs)
+        header = ILPHeader(service_id=service_id, connection_id=conn, flags=flags, tlvs=tlvs)
         wire = self.peers[peer].seal(header.encode())
         return ILPPacket(
             l3=L3Header(src=peer, dst=SN_ADDR),
@@ -98,6 +93,24 @@ class TestIngressValidation:
         )
         fx.terminus.receive(pkt)
         assert fx.terminus.stats.drops_malformed == 1
+
+    def test_malformed_barrier_run_drops_every_packet(self):
+        """A run of one CONTROL plaintext whose TLV is truncated is decoded
+        once, and each of its packets is a malformed drop."""
+        fx = _Fixture()
+        plain = ILPHeader(42, 7, Flags.CONTROL, {TLV.SRC_HOST: b"x"}).encode()[:-1]
+        ctx = fx.peers[PEER_A]
+        run = [
+            ILPPacket(
+                l3=L3Header(src=PEER_A, dst=SN_ADDR),
+                ilp_wire=ctx.seal(plain),
+                payload=make_payload(b""),
+            )
+            for _ in range(3)
+        ]
+        fx.terminus.receive_batch(run)
+        assert fx.terminus.stats.drops_malformed == 3
+        assert fx.terminus.stats.punts == 0
 
     def test_unknown_service_dropped(self):
         fx = _Fixture()
@@ -430,8 +443,7 @@ class TestMissCoalescing:
 class TestPreEncodedSend:
     def test_send_with_precomputed_encoding(self):
         fx = _Fixture()
-        header = ILPHeader(service_id=42, connection_id=7)
-        header.set_str(TLV.SRC_HOST, "192.168.0.5")
+        header = ILPHeader(service_id=42, connection_id=7, tlvs={TLV.SRC_HOST: b"192.168.0.5"})
         encoded = header.encode()
         assert fx.terminus.send(PEER_B, header, make_payload(b"d"), encoded=encoded)
         peer, out = fx.sent[0]
@@ -442,8 +454,7 @@ class TestPreEncodedSend:
 
     def test_qos_src_is_a_declared_field(self):
         fx = _Fixture()
-        header = ILPHeader(service_id=42, connection_id=7)
-        header.set_str(TLV.SRC_HOST, "192.168.0.5")
+        header = ILPHeader(service_id=42, connection_id=7, tlvs={TLV.SRC_HOST: b"192.168.0.5"})
         fx.terminus.send(PEER_B, header, make_payload(b"d"))
         _, out = fx.sent[0]
         assert out.qos_src == "192.168.0.5"
@@ -453,7 +464,6 @@ class TestPreEncodedSend:
     def test_fanout_encodes_once(self):
         fx = _Fixture()
         encode_calls = 0
-        header = ILPHeader(service_id=42, connection_id=7)
         original_encode = ILPHeader.encode
 
         fx.terminus.cache.install(

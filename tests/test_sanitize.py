@@ -279,8 +279,7 @@ class TestPacketFateLedger:
 
 class TestHeaderReencode:
     def test_fresh_encode_passes(self):
-        header = ILPHeader(service_id=7, connection_id=42)
-        header.set_str(TLV.DEST_ADDR, "10.0.0.9")
+        header = ILPHeader(service_id=7, connection_id=42, tlvs={TLV.DEST_ADDR: b"10.0.0.9"})
         _san_check_header_wire(header, header.encode())
 
     def test_drifted_wire_detected(self):
@@ -291,10 +290,10 @@ class TestHeaderReencode:
             _san_check_header_wire(header, bytes(wire))
 
     def test_stale_memo_scenario_detected(self):
-        # A caller that keeps pre-encoded bytes, then mutates the header,
+        # A caller that keeps pre-encoded bytes, then rewrites the header,
         # must not ship the stale wire form.
         header = ILPHeader(service_id=7, connection_id=42)
         stale = header.encode()
-        header.set_str(TLV.DEST_ADDR, "10.0.0.9")
+        header = header.with_tlvs({TLV.DEST_ADDR: b"10.0.0.9"})
         with pytest.raises(sanitize.SanitizeError, match="header-reencode"):
             _san_check_header_wire(header, stale)

@@ -1,7 +1,5 @@
 """Tests for the prebuilt scenario builders."""
 
-import pytest
-
 from repro import WellKnownService
 from repro.scenarios import enterprise_scenario, metro_federation, small_federation
 

@@ -1,8 +1,6 @@
 """Tests for automated service features: DDoS auto-trigger, queue
 redelivery timers, and the `python -m repro` demo entry point."""
 
-import pytest
-
 from repro import WellKnownService
 from repro.services.msgqueue import ack, produce, queue_home, subscribe
 

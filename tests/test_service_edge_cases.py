@@ -1,9 +1,7 @@
 """Edge-case tests across service modules (branches not covered elsewhere)."""
 
-import pytest
-
 from repro import WellKnownService
-from repro.core.ilp import Flags, ILPHeader, TLV
+from repro.core.ilp import Flags, TLV
 from repro.services.multipoint import (
     OP_DENIED,
     join_group,

@@ -1,12 +1,9 @@
 """Tests for null, IP-delivery, and the caching bundle."""
 
-import pytest
-
 from repro import WellKnownService
 from repro.core.ilp import TLV
 from repro.services.caching import (
     CacheStore,
-    CachingBundleService,
     make_response,
     parse_request,
     parse_response,

@@ -1,15 +1,9 @@
 """Tests for the mobility lookup and cluster interconnection services (§6.3)."""
 
-import pytest
-
 from repro import WellKnownService
 from repro.netsim import Link
 from repro.services.cluster import register_cluster_prefix, send_cross_cluster
-from repro.services.mobility import (
-    MobilityService,
-    connect_to_mobile,
-    send_binding_update,
-)
+from repro.services.mobility import connect_to_mobile, send_binding_update
 
 
 def sn_of(net, edomain, index):

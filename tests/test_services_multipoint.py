@@ -1,7 +1,5 @@
 """Tests for the multipoint family: multicast, anycast, pub/sub (§6.2)."""
 
-import pytest
-
 from repro import WellKnownService
 from repro.core.ilp import TLV
 from repro.services.multipoint import (

@@ -135,9 +135,7 @@ class TestPrivateRelay:
     def test_return_path(self, two_edomain_net):
         net = two_edomain_net
         ingress_sn, egress_sn, client, site = self._world(net)
-        conn = send_via_relay(
-            client, ingress_sn.address, egress_sn.address, site.address, b"ping"
-        )
+        send_via_relay(client, ingress_sn.address, egress_sn.address, site.address, b"ping")
         net.run(1.0)
         # The site answers on the relayed connection id via the egress.
         site_conn_ids = [

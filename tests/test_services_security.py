@@ -1,11 +1,8 @@
 """Tests for the security services: firewall, ZTNA, DDoS, VPN, SD-WAN."""
 
-import pytest
-
 from repro import WellKnownService
-from repro.core.ilp import Flags, ILPHeader, TLV
+from repro.core.ilp import Flags
 from repro.services.ddos import (
-    OP_ATTACK_MODE,
     TLV_PUZZLE_SOLUTION,
     make_puzzle_challenge,
     solve_puzzle,
@@ -15,7 +12,6 @@ from repro.services.sdwan import PathMetric, PathSelector
 from repro.services.vpn import (
     TLV_AUTH_TOKEN,
     VPNAuthenticator,
-    mint_token,
     register_vpn_endpoint,
 )
 from repro.services.ztna import PosturePolicy, ZTNAPolicy, make_setup_packets
